@@ -94,15 +94,19 @@ class PermutationSystem:
             raise ValidationError(
                 f"mapping of length {len(self.mapping)} on a space of {n} points"
             )
-        if sorted(self.mapping) != list(range(n)):
+        mapping = np.asarray(self.mapping)
+        if mapping.dtype.kind not in "iu" or not np.array_equal(
+            np.sort(mapping), np.arange(n)
+        ):
             raise ValidationError("mapping is not a permutation of the point indices")
         w = self.space.weight_array
-        for i, image in enumerate(self.mapping):
-            if abs(w[image] - w[i]) > _WEIGHT_TOL:
-                raise ValidationError(
-                    f"weight not preserved at point {i}: "
-                    f"{w[i]!r} -> {w[image]!r}"
-                )
+        drift = np.abs(w[mapping] - w) > _WEIGHT_TOL
+        if drift.any():
+            i = int(drift.argmax())
+            raise ValidationError(
+                f"weight not preserved at point {i}: "
+                f"{w[i]!r} -> {w[mapping[i]]!r}"
+            )
 
     @cached_property
     def _mapping_array(self) -> np.ndarray:
@@ -195,9 +199,16 @@ def _stationary_vector(q: np.ndarray) -> np.ndarray:
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValidationError(f"transition matrix must be square, got shape {q.shape}")
     eigvals, eigvecs = np.linalg.eig(q.T)
-    k = int(np.argmin(np.abs(eigvals - 1.0)))
-    if abs(eigvals[k] - 1.0) > 1e-8:
+    near_one = np.abs(eigvals - 1.0) <= 1e-8
+    if not near_one.any():
         raise ValidationError("transition matrix has no eigenvalue 1")
+    if np.count_nonzero(near_one) > 1:
+        raise ValidationError(
+            "eigenvalue 1 of the transition matrix is degenerate "
+            f"(multiplicity {np.count_nonzero(near_one)}): the chain is reducible "
+            "and has more than one stationary vector; pass stationary= explicitly"
+        )
+    k = int(near_one.argmax())
     v = np.real(eigvecs[:, k])
     total = v.sum()
     if abs(total) < 1e-300:
@@ -232,19 +243,16 @@ def markov_entropy_rate(
 
 
 def pullback_partition(system: PermutationSystem, partition: Partition) -> Partition:
-    """Preimage partition T^{-1}P, atom by atom.
+    """Preimage partition T^{-1}P: point i joins the atom holding T(i).
 
     Preserves atom probabilities because the permutation preserves
     weights.
     """
     if partition.space is not system.space and partition.space != system.space:
         raise ValidationError("partition does not live on the system's space")
-    mapping = system._mapping_array
-    atoms = []
-    for atom in partition.atoms:
-        members = frozenset(atom)
-        atoms.append([i for i in range(system.space.size) if int(mapping[i]) in members])
-    return Partition(system.space, atoms)
+    return Partition._from_labels(
+        system.space, partition.atom_index_array[system._mapping_array]
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ bond coupling (beta J). The symmetric transfer matrix is
     T(K) = [[exp(K1 + K0), exp(-K1)],
             [exp(-K1),     exp(K1 - K0)]]
 
-with eigenvalues lambda_pm = e^{K1} (cosh K0 pm sqrt(sinh^2 K0 + e^{-4 K1}))
+with eigenvalues lambda_pm = e^{K1} cosh K0 pm sqrt(e^{2 K1} sinh^2 K0 + e^{-2 K1})
 and Z_N = lambda_+^N + lambda_-^N on a periodic chain of N sites.
 
 Decimating every second spin squares the transfer matrix up to a scalar:
@@ -142,11 +142,19 @@ def transfer_matrix(k: CouplingVector | Iterable[float]) -> TransferMatrix:
 
 
 def eigenvalues(k: CouplingVector | Iterable[float]) -> tuple[float, float]:
-    """(lambda_+, lambda_-) of T(K), closed form, lambda_+ > |lambda_-|."""
+    """(lambda_+, lambda_-) of T(K), closed form, lambda_+ > |lambda_-|.
+
+    lambda_+ = e^{K1} cosh K0 + hypot(e^{K1} sinh K0, e^{-K1}) has no
+    cancellation, and lambda_- follows from the determinant
+    lambda_+ lambda_- = 2 sinh 2K1; every intermediate stays inside the
+    double range for |K| <= 300.
+    """
     kk = _as_coupling(k)
-    root = math.sqrt(math.sinh(kk.k0) ** 2 + math.exp(-4.0 * kk.k1))
     scale = math.exp(kk.k1)
-    return (scale * (math.cosh(kk.k0) + root), scale * (math.cosh(kk.k0) - root))
+    lam_plus = scale * math.cosh(kk.k0) + math.hypot(
+        scale * math.sinh(kk.k0), math.exp(-kk.k1)
+    )
+    return lam_plus, 2.0 * math.sinh(2.0 * kk.k1) / lam_plus
 
 
 def eigenvalues_oracle(k: CouplingVector | Iterable[float]) -> tuple[float, float]:
@@ -163,11 +171,26 @@ def _validate_chain_length(n_sites: int) -> int:
 
 
 def log_partition_function(k: CouplingVector | Iterable[float], n_sites: int) -> float:
-    """log Z_N for the periodic chain, stable for any chain length."""
+    """log Z_N for the periodic chain, stable for any chain length.
+
+    log Z_N = N log lambda_+ + log(1 + r^N) with r = lambda_- / lambda_+.
+    On a frustrated ring (K1 < 0, odd N) r is close to -1 and 1 + r^N
+    cancels; there lambda_+ + lambda_- = 2 e^{K1} cosh K0 gives
+    1 - |r| = 2 e^{K1} cosh K0 / lambda_+ without cancellation, and
+    1 - |r|^N = -expm1(N log1p(-(1 - |r|))). When |r| <= 1/2, log |r| is
+    taken directly.
+    """
+    kk = _as_coupling(k)
     n = _validate_chain_length(n_sites)
-    lam_plus, lam_minus = eigenvalues(k)
+    lam_plus, lam_minus = eigenvalues(kk)
     ratio = lam_minus / lam_plus
-    return n * math.log(lam_plus) + math.log1p(ratio**n)
+    if ratio < 0.0 and n % 2 == 1:
+        gap = 2.0 * math.exp(kk.k1) * math.cosh(kk.k0) / lam_plus
+        log_abs = math.log1p(-gap) if gap < 0.5 else math.log(-ratio)
+        tail = math.log(-math.expm1(n * log_abs))
+    else:
+        tail = math.log1p(ratio**n)
+    return n * math.log(lam_plus) + tail
 
 
 def partition_function(k: CouplingVector | Iterable[float], n_sites: int) -> float:

@@ -188,9 +188,7 @@ def gibbs_space(
     z = float(boltzmann.sum())
     if not np.isfinite(z):
         raise ValidationError("Gibbs weights overflowed; reduce the couplings")
-    ids = tuple(
-        "".join("+" if s > 0 else "-" for s in row) for row in spins
-    )
+    ids = np.where(spins > 0, "+", "-").view(f"<U{n}").ravel().tolist()
     space = make_space(ids, boltzmann / z, normalize=True)
     return IsingGibbsSpace(
         coupling=kk, n_sites=n, space=space, configs=spins, normalization=z
@@ -212,13 +210,13 @@ def _contiguous_blocks(site_partition: Partition) -> list[np.ndarray]:
 def _partition_from_variables(
     gibbs: IsingGibbsSpace, variables: np.ndarray
 ) -> Partition:
-    """Group configurations by identical block-variable rows."""
-    _, inverse = np.unique(variables, axis=0, return_inverse=True)
-    inverse = np.asarray(inverse).reshape(-1)
-    atoms: dict[int, list[int]] = {}
-    for config_index, key in enumerate(inverse):
-        atoms.setdefault(int(key), []).append(config_index)
-    return Partition(gibbs.space, atoms.values())
+    """Group configurations by identical block-variable rows.
+
+    Each row of +-1 values is packed into one integer key, bit j set when
+    column j is +1; at most 16 columns arise under the configuration cap.
+    """
+    bits = np.left_shift(1, np.arange(variables.shape[1], dtype=np.int64))
+    return Partition._from_labels(gibbs.space, (variables > 0) @ bits)
 
 
 def _apply_block_map(

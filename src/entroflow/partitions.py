@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -146,7 +146,7 @@ def make_space(
         raise ValidationError(
             f"unnormalized weights (sum {total!r}); pass normalize=True to rescale"
         )
-    return FiniteProbabilitySpace(ids, tuple(float(x) for x in w))
+    return FiniteProbabilitySpace(ids, tuple(w.tolist()))
 
 
 @dataclass(frozen=True)
@@ -173,54 +173,107 @@ class AtomDistribution:
         return len(self.probabilities)
 
 
-@dataclass(frozen=True)
+def _canonical_labels(weights: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Number the distinct keys 0, 1, ... by first occurrence.
+
+    Zero-weight points get -1 whatever their key. Keys spanning at most
+    twice the number of points are grouped through a dense first-position
+    table, wider ones through a sort.
+    """
+    positive = weights > 0.0
+    kept = keys[positive]
+    size = kept.size
+    lo = int(kept.min())
+    span = int(kept.max()) - lo + 1
+    positions = np.arange(size, dtype=np.int64)
+    if span <= 2 * size:
+        codes = kept - lo
+        first = np.full(span, size, dtype=np.int64)
+        np.minimum.at(first, codes, positions)
+    else:
+        _, first, codes = np.unique(kept, return_index=True, return_inverse=True)
+    # the code of each atom, listed in order of first occurrence
+    opened = codes[first[codes] == positions]
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[opened] = np.arange(opened.size, dtype=np.int64)
+    labels = np.full(keys.size, -1, dtype=np.int64)
+    labels[positive] = rank[codes]
+    labels.setflags(write=False)
+    return labels, int(opened.size)
+
+
+@dataclass(frozen=True, eq=False)
 class Partition:
     """A partition of a finite probability space into disjoint atoms.
 
-    Atoms are frozensets of point indices. On construction the atoms are
-    validated (nonempty, pairwise disjoint, covering every positive-weight
-    point) and brought to canonical form: zero-weight points are dropped,
-    atoms left empty by that are removed, and the rest are sorted by their
-    smallest point index. Equality and hashing act on the canonical form.
+    Stored as one read-only int64 label per point: ``atom_index_array[i]``
+    is the atom holding point i, atoms are numbered by their smallest
+    point index, and zero-weight points carry -1 (they are dropped, and
+    atoms left empty by that are removed). ``atoms`` is a tuple of
+    frozensets of point indices built from the labels on first use.
+    Equality and hashing act on the space and the labels.
     """
 
     space: FiniteProbabilitySpace
-    atoms: tuple[frozenset[int], ...]
+    atom_index_array: np.ndarray
+    n_atoms: int
 
     def __init__(
         self,
         space: FiniteProbabilitySpace,
         atoms: Iterable[Iterable[int]],
     ) -> None:
-        raw = [frozenset(int(i) for i in atom) for atom in atoms]
+        """Validate atoms (nonempty, disjoint, covering every positive-weight point)."""
+        n = space.size
+        raw = [list(map(int, atom)) for atom in atoms]
         if not raw:
             raise ValidationError("a partition needs at least one atom")
-        seen: set[int] = set()
-        for atom in raw:
-            if not atom:
-                raise ValidationError("empty atom")
-            for i in atom:
-                if not 0 <= i < space.size:
-                    raise ValidationError(
-                        f"point index {i} outside space of size {space.size}"
-                    )
-                if i in seen:
-                    raise ValidationError(f"point index {i} appears in two atoms")
-                seen.add(i)
-        w = space.weight_array
-        uncovered = [i for i in range(space.size) if w[i] > 0.0 and i not in seen]
-        if uncovered:
+        sizes = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
+        if not sizes.all():
+            raise ValidationError("empty atom")
+        flat = (i for atom in raw for i in atom)
+        try:
+            points = np.fromiter(flat, dtype=np.int64, count=int(sizes.sum()))
+        except OverflowError:
+            big = next(i for a in raw for i in a if not 0 <= i < n)
             raise ValidationError(
-                f"positive-weight points not covered by any atom: {uncovered[:8]}"
+                f"point index {big} outside space of size {n}"
+            ) from None
+        outside = (points < 0) | (points >= n)
+        if outside.any():
+            raise ValidationError(
+                f"point index {points[outside.argmax()]} outside space of size {n}"
             )
-        canonical = []
-        for atom in raw:
-            trimmed = frozenset(i for i in atom if w[i] > 0.0)
-            if trimmed:
-                canonical.append(trimmed)
-        canonical.sort(key=min)
+        atom_of = np.repeat(np.arange(len(raw), dtype=np.int64), sizes)
+        owner = np.full(n, -1, dtype=np.int64)
+        owner[points] = atom_of
+        shared = owner[points] != atom_of
+        if shared.any():
+            raise ValidationError(
+                f"point index {points[shared.argmax()]} appears in two atoms"
+            )
+        uncovered = np.flatnonzero((owner < 0) & (space.weight_array > 0.0))
+        if uncovered.size:
+            raise ValidationError(
+                "positive-weight points not covered by any atom: "
+                f"{uncovered[:8].tolist()}"
+            )
+        self._assign(space, owner)
+
+    @classmethod
+    def _from_labels(
+        cls, space: FiniteProbabilitySpace, keys: np.ndarray
+    ) -> "Partition":
+        """The partition grouping points of equal integer key, unchecked."""
+        self = object.__new__(cls)
+        self._assign(space, np.asarray(keys, dtype=np.int64))
+        return self
+
+    def _assign(self, space: FiniteProbabilitySpace, keys: np.ndarray) -> None:
+        labels, n_atoms = _canonical_labels(space.weight_array, keys)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "atoms", tuple(canonical))
+        object.__setattr__(self, "atom_index_array", labels)
+        object.__setattr__(self, "n_atoms", n_atoms)
 
     @classmethod
     def from_point_ids(
@@ -234,25 +287,50 @@ class Partition:
     @classmethod
     def discrete(cls, space: FiniteProbabilitySpace) -> "Partition":
         """The finest partition, one atom per point."""
-        return cls(space, [[i] for i in range(space.size)])
+        return cls._from_labels(space, np.arange(space.size))
 
     @classmethod
     def trivial(cls, space: FiniteProbabilitySpace) -> "Partition":
         """The coarsest partition, a single atom holding every point."""
-        return cls(space, [list(range(space.size))])
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.atoms)
+        return cls._from_labels(space, np.zeros(space.size, dtype=np.int64))
 
     @cached_property
-    def atom_index_array(self) -> np.ndarray:
-        """Point index -> atom index, with -1 for uncovered zero-weight points."""
-        owner = np.full(self.space.size, -1, dtype=np.int64)
-        for k, atom in enumerate(self.atoms):
-            owner[list(atom)] = k
-        owner.setflags(write=False)
-        return owner
+    def atoms(self) -> tuple[frozenset[int], ...]:
+        """Atoms as frozensets of point indices, in label order."""
+        order, starts = self._runs()
+        return tuple(frozenset(g.tolist()) for g in np.split(order, starts)[1:])
+
+    @cached_property
+    def _masses(self) -> np.ndarray:
+        """Atom probabilities, read-only, computed once per partition.
+
+        Each atom's weights are summed pairwise in point order, as
+        ``np.sum`` does; a running sum over 2^15 points per atom would
+        drift by up to 1e-11 relative in the entropy.
+        """
+        order, starts = self._runs()
+        masses = np.add.reduceat(self.space.weight_array[order], starts)
+        masses.setflags(write=False)
+        return masses
+
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Point indices grouped by label, and where each atom's run starts.
+
+        Zero-weight points (label -1) form a leading run that no atom uses.
+        """
+        labels = self.atom_index_array
+        counts = np.bincount(labels + 1, minlength=self.n_atoms + 1)
+        return np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return (self.space is other.space or self.space == other.space) and bool(
+            np.array_equal(self.atom_index_array, other.atom_index_array)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.atom_index_array.tobytes()))
 
 
 def _require_same_space(a: Partition, b: Partition, what: str) -> None:
@@ -262,15 +340,12 @@ def _require_same_space(a: Partition, b: Partition, what: str) -> None:
 
 def atom_probabilities(partition: Partition) -> AtomDistribution:
     """Push the point weights through a partition."""
-    w = partition.space.weight_array
-    return AtomDistribution(
-        tuple(float(w[list(atom)].sum()) for atom in partition.atoms)
-    )
+    return AtomDistribution(tuple(partition._masses.tolist()))
 
 
 def entropy(partition: Partition) -> float:
     """Shannon entropy H(P) of a partition, in bits."""
-    return shannon_bits(atom_probabilities(partition).probabilities)
+    return shannon_bits(partition._masses)
 
 
 def is_coarsening(coarse: Partition, fine: Partition) -> bool:
@@ -281,13 +356,12 @@ def is_coarsening(coarse: Partition, fine: Partition) -> bool:
     live on the same space.
     """
     _require_same_space(coarse, fine, "is_coarsening")
-    owner = coarse.atom_index_array
-    for atom in fine.atoms:
-        it = iter(atom)
-        first = owner[next(it)]
-        if any(owner[i] != first for i in it):
-            return False
-    return True
+    fine_labels = fine.atom_index_array
+    # one coarse label per fine atom; zero-weight points (-1 in both) use
+    # the last slot
+    coarse_of = np.empty(fine.n_atoms + 1, dtype=np.int64)
+    coarse_of[fine_labels] = coarse.atom_index_array
+    return bool(np.array_equal(coarse_of[fine_labels], coarse.atom_index_array))
 
 
 def join(a: Partition, b: Partition) -> Partition:
@@ -298,18 +372,9 @@ def join(a: Partition, b: Partition) -> Partition:
     also refines the join.
     """
     _require_same_space(a, b, "join")
-    ia = a.atom_index_array
-    ib = b.atom_index_array
-    cells: dict[tuple[int, int], list[int]] = {}
-    for point in range(a.space.size):
-        ka = int(ia[point])
-        if ka < 0:
-            continue
-        kb = int(ib[point])
-        if kb < 0:
-            continue
-        cells.setdefault((ka, kb), []).append(point)
-    return Partition(a.space, cells.values())
+    return Partition._from_labels(
+        a.space, a.atom_index_array * b.n_atoms + b.atom_index_array
+    )
 
 
 def pseudo_distance(p1: Partition, p2: Partition) -> float:

@@ -206,6 +206,24 @@ class TestExitCodes:
         assert record["bruteforce_delta"] > 1e-18
         assert "disagrees" in captured.err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--k1", "-300", "--n", "3"],
+            ["--k1", "-8", "--n", "3", "--check-bruteforce"],
+            ["--k1", "-20", "--n", "3", "--check-bruteforce"],
+        ],
+    )
+    def test_frustrated_rings_inside_the_cap(self, capsys, extra):
+        assert run(["ising-z", "--k0", "0", *extra]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert math.isfinite(record["log_z"])
+        assert record.get("bruteforce_delta", 0.0) < 1e-12
+
+    def test_reducible_markov_chain_is_rejected(self, capsys):
+        assert run(["ks", "--system", "markov:[[1,0],[0,1]]", "--nmax", "4"]) == 2
+        assert "stationary" in capsys.readouterr().err
+
     def test_theorem_check_inconsistency_exit(self, capsys, monkeypatch):
         real = dynamics.theorem_limit_point_check
 

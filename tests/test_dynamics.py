@@ -60,6 +60,15 @@ class TestPermutationSystem:
         with pytest.raises(ValidationError):
             PermutationSystem(space, (1, 2, 0))
 
+    def test_messages_name_the_first_offending_point(self):
+        space = make_space("abcd", [0.25, 0.25, 0.3, 0.2])
+        with pytest.raises(ValidationError, match="not a permutation"):
+            PermutationSystem(space, (0, 1, 2, 4))
+        with pytest.raises(ValidationError, match="not a permutation"):
+            PermutationSystem(space, (0.0, 1.0, 2.0, 3.0))
+        with pytest.raises(ValidationError, match="weight not preserved at point 2: "):
+            PermutationSystem(space, (1, 0, 3, 2))
+
     def test_accepts_weight_preserving_permutation(self):
         space = make_space("abc", [0.4, 0.4, 0.2])
         PermutationSystem(space, (1, 0, 2))
@@ -90,6 +99,14 @@ class TestSymbolicSystem:
     def test_markov_rejects_non_stationary_pi(self):
         with pytest.raises(ValidationError):
             SymbolicSystem.markov(Q_REFERENCE, stationary=[0.5, 0.5])
+
+    def test_reducible_chain_needs_an_explicit_stationary_vector(self):
+        with pytest.raises(ValidationError, match="degenerate"):
+            SymbolicSystem.markov([[1.0, 0.0], [0.0, 1.0]])
+        m = SymbolicSystem.markov([[1.0, 0.0], [0.0, 1.0]], stationary=[0.3, 0.7])
+        assert m.marginal == (0.3, 0.7)
+        # a periodic chain is irreducible: its eigenvalue 1 is simple
+        assert SymbolicSystem.markov([[0.0, 1.0], [1.0, 0.0]]).marginal == (0.5, 0.5)
 
     def test_generating_partition_is_discrete(self):
         b = SymbolicSystem.bernoulli([0.5, 0.5])

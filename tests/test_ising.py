@@ -160,6 +160,16 @@ class TestPartitionFunction:
             partition_function(big, 4)
         assert math.isfinite(log_partition_function(big, 4))
 
+    @pytest.mark.parametrize("k1", [-300.0, -177.5, -20.0, -8.0])
+    def test_frustrated_odd_ring_at_the_cap(self, k1):
+        # N = 3 at zero field: two configurations carry bond sum 3, six
+        # carry -1, so log Z = log(6 e^{-K1} + 2 e^{3 K1}) exactly
+        k = CouplingVector(0.0, k1)
+        expected = math.log(6.0) - k1 + math.log1p(math.exp(4.0 * k1) / 3.0)
+        assert log_partition_function(k, 3) == pytest.approx(expected, rel=1e-14)
+        lam_plus, lam_minus = eigenvalues(k)
+        assert math.isfinite(lam_plus) and lam_minus < 0.0
+
     def test_site_count_validation(self):
         k = CouplingVector(0.1, 0.1)
         with pytest.raises(ValidationError):
@@ -366,3 +376,26 @@ class TestInverseZeroField:
         assert (-math.log(values[40]) + math.log(values[30])) / 10 == pytest.approx(
             LN2 / 2, abs=1e-3
         )
+
+
+def log_z_bruteforce(k0, k1, n):
+    """log Z by log-sum-exp over all 2^n configurations."""
+    spins = spin_configurations(n).astype(float)
+    energy = k0 * spins.sum(axis=1) + k1 * (spins * np.roll(spins, -1, axis=1)).sum(
+        axis=1
+    )
+    top = energy.max()
+    return top + math.log(np.exp(energy - top).sum())
+
+
+couplings = st.one_of(
+    st.floats(min_value=-300.0, max_value=300.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(couplings, couplings, st.integers(min_value=2, max_value=14))
+def test_log_z_matches_log_sum_exp_over_the_cap(k0, k1, n):
+    closed = log_partition_function(CouplingVector(k0, k1), n)
+    assert closed == pytest.approx(log_z_bruteforce(k0, k1, n), rel=1e-12)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from entroflow import (
     AtomDistribution,
     Partition,
+    PermutationSystem,
     SpaceMismatchError,
     ValidationError,
     atom_probabilities,
@@ -16,6 +17,7 @@ from entroflow import (
     join,
     make_space,
     pseudo_distance,
+    pullback_partition,
     shannon_bits,
 )
 
@@ -318,3 +320,141 @@ def test_equiprobable_attains_log_bound():
     assert entropy(p) == pytest.approx(math.log2(p.n_atoms), abs=TOL)
     lopsided = Partition(s, [[0], [1, 2, 3], [4, 5], [6, 7]])
     assert entropy(lopsided) < math.log2(lopsided.n_atoms) - 1e-3
+
+
+# ---------------------------------------------------------------------------
+# label arrays against a frozenset reference
+#
+# Partitions are stored as one label per point. The reference below works
+# on plain sets of point indices, the textbook definitions, and never
+# touches the labels.
+
+
+def reference_atoms(space, groups):
+    """Canonical atoms by the definition: drop zero-weight points, drop
+    emptied atoms, order by smallest point."""
+    w = space.weights
+    trimmed = [frozenset(i for i in g if w[i] > 0.0) for g in groups]
+    return sorted((a for a in trimmed if a), key=min)
+
+
+@st.composite
+def space_with_zeros(draw):
+    n = draw(st.integers(min_value=1, max_value=14))
+    raw = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    if not any(raw):
+        raw[draw(st.integers(0, n - 1))] = 1.0
+    return make_space(list(range(n)), raw, normalize=True)
+
+
+def draw_groups(draw, n):
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    groups = {}
+    for i, g in enumerate(owners):
+        groups.setdefault(g, []).append(i)
+    return list(groups.values())
+
+
+@st.composite
+def space_and_two_partitions(draw):
+    space = draw(space_with_zeros())
+    ga = draw_groups(draw, space.size)
+    gb = draw_groups(draw, space.size)
+    return space, ga, gb
+
+
+@settings(max_examples=100, deadline=None)
+@given(space_and_two_partitions())
+def test_label_operations_match_frozenset_reference(case):
+    space, ga, gb = case
+    a, b = Partition(space, ga), Partition(space, gb)
+    ref_a, ref_b = reference_atoms(space, ga), reference_atoms(space, gb)
+    assert list(a.atoms) == ref_a
+    assert a.n_atoms == len(ref_a)
+
+    w = space.weights
+    masses = [math.fsum(w[i] for i in atom) for atom in ref_a]
+    assert atom_probabilities(a).probabilities == pytest.approx(masses, abs=TOL)
+    h = -math.fsum(m * math.log2(m) for m in masses if m > 0.0)
+    assert entropy(a) == pytest.approx(h, abs=TOL)
+
+    cells = [x & y for x in ref_a for y in ref_b]
+    assert list(join(a, b).atoms) == sorted((c for c in cells if c), key=min)
+
+    def coarsens(coarse, fine):
+        return all(any(f <= c for c in coarse) for f in fine)
+
+    assert is_coarsening(a, b) == coarsens(ref_a, ref_b)
+    assert is_coarsening(b, a) == coarsens(ref_b, ref_a)
+    assert is_coarsening(a, join(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(space_with_zeros(), st.data())
+def test_pullback_matches_preimages(space, data):
+    # a weight-preserving permutation: shuffle points within equal weights
+    w = space.weights
+    mapping = list(range(space.size))
+    for value in set(w):
+        members = [i for i in range(space.size) if w[i] == value]
+        images = data.draw(st.permutations(members))
+        for i, image in zip(members, images):
+            mapping[i] = image
+    system = PermutationSystem(space, tuple(mapping))
+    groups = draw_groups(data.draw, space.size)
+    ref = reference_atoms(space, groups)
+    preimages = [frozenset(i for i in range(space.size) if mapping[i] in atom)
+                 for atom in ref]
+    pulled = pullback_partition(system, Partition(space, groups))
+    assert list(pulled.atoms) == reference_atoms(space, preimages)
+
+
+@settings(max_examples=100, deadline=None)
+@given(space_with_zeros(), st.data())
+def test_public_and_label_constructors_agree(space, data):
+    keys = data.draw(
+        st.lists(st.integers(-3, 40), min_size=space.size, max_size=space.size)
+    )
+    groups = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+    public = Partition(space, list(groups.values()))
+    internal = Partition._from_labels(space, np.asarray(keys))
+    assert public == internal
+    assert hash(public) == hash(internal)
+    assert not public.atom_index_array.flags.writeable
+    zero = np.asarray(space.weights) == 0.0
+    assert np.all(public.atom_index_array[zero] == -1)
+
+
+def test_wide_keys_take_the_sorting_route():
+    # keys spread far wider than the point count, canonicalised by sorting
+    s = uniform_space(6)
+    keys = np.array([10**12, 5, 10**12, -(10**12), 5, 7])
+    p = Partition._from_labels(s, keys)
+    assert p.atom_index_array.tolist() == [0, 1, 0, 2, 1, 3]
+    assert p == Partition(s, [[0, 2], [1, 4], [3], [5]])
+
+
+def test_validation_messages_name_the_offending_point():
+    s = make_space("abcd", [0.25, 0.25, 0.5, 0.0])
+    with pytest.raises(ValidationError, match="point index 7 outside space of size 4"):
+        Partition(s, [[0, 1], [2, 7]])
+    with pytest.raises(ValidationError, match="outside space of size 4"):
+        Partition(s, [[0, 1, 2, 10**30]])
+    with pytest.raises(ValidationError, match="point index 1 appears in two atoms"):
+        Partition(s, [[0, 1], [1, 2]])
+    with pytest.raises(ValidationError, match=r"not covered by any atom: \[2\]"):
+        Partition(s, [[0, 1]])
+    with pytest.raises(ValidationError, match="empty atom"):
+        Partition(s, [[0, 1, 2], []])
+    with pytest.raises(ValidationError, match="at least one atom"):
+        Partition(s, [])
+    # repeats inside one atom and an uncovered zero-weight point are fine
+    assert Partition(s, [[0, 0, 1], [2]]).n_atoms == 2
