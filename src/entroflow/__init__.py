@@ -15,179 +15,22 @@ by topic (``partitions``, ``flows``, ``dynamics``, ``ising``,
 
 from __future__ import annotations
 
-from .dynamics import (
-    DEFAULT_WORD_CAP,
-    CylinderDistribution,
-    InfoRateReport,
-    PermutationSystem,
-    SymbolicSystem,
-    TheoremCheckResult,
-    cyclic_system,
-    generating_partition,
-    info_rate_report,
-    is_chaotic,
-    iterated_join,
-    ks_entropy_family,
-    markov_entropy_rate,
-    parse_system_spec,
-    pullback_partition,
-    theorem_limit_point_check,
-    verify_generating_map,
-)
-from .errors import (
-    ConfigError,
-    EntroflowError,
-    FlowDirectionError,
-    InconsistencyError,
-    ResourceCapError,
-    SpaceMismatchError,
-    ValidationError,
-)
-from .flows import (
-    COARSE_GRAINING,
-    DEFAULT_EPSILON,
-    DEFAULT_HORIZON,
-    DEFAULT_WINDOW,
-    REFINEMENT,
-    UNVALIDATED,
-    LimitPointVerdict,
-    PartitionFlow,
-    detect_entropy_plateau,
-    detect_limit_point,
-    entropy_sequence,
-    materialize_flow,
-    reverse,
-)
-from .ising import (
-    COUPLING_CAP,
-    CouplingVector,
-    RgTrajectory,
-    TransferMatrix,
-    VVector,
-    eigenvalues,
-    eigenvalues_oracle,
-    inverse_rg_step_zero_field,
-    log_partition_function,
-    partition_function,
-    partition_function_bruteforce,
-    rg_step_closed,
-    rg_step_oracle,
-    rg_trajectory,
-    spin_configurations,
-    transfer_matrix,
-)
-from .lattice import (
-    DEFAULT_CONFIG_CAP,
-    ENV_CONFIG_CAP,
-    IsingGibbsSpace,
-    LatticeSpec,
-    RgEntropyFlowResult,
-    block_site_partition,
-    effective_config_cap,
-    gibbs_space,
-    induced_config_partition,
-    majority_first_site,
-    reversed_refinement_flow,
-    rg_entropy_flow,
-)
-from .partitions import (
-    DEFAULT_TOLERANCE,
-    AtomDistribution,
-    FiniteProbabilitySpace,
-    Partition,
-    atom_probabilities,
-    entropy,
-    is_coarsening,
-    join,
-    make_space,
-    pseudo_distance,
-    shannon_bits,
-)
+from . import dynamics, errors, flows, ising, lattice, partitions
+from .dynamics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .flows import *  # noqa: F403
+from .ising import *  # noqa: F403
+from .lattice import *  # noqa: F403
+from .partitions import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "ConfigError",
-    "EntroflowError",
-    "FlowDirectionError",
-    "InconsistencyError",
-    "ResourceCapError",
-    "SpaceMismatchError",
-    "ValidationError",
-    # partitions
-    "DEFAULT_TOLERANCE",
-    "AtomDistribution",
-    "FiniteProbabilitySpace",
-    "Partition",
-    "atom_probabilities",
-    "entropy",
-    "is_coarsening",
-    "join",
-    "make_space",
-    "pseudo_distance",
-    "shannon_bits",
-    # flows
-    "COARSE_GRAINING",
-    "REFINEMENT",
-    "UNVALIDATED",
-    "DEFAULT_EPSILON",
-    "DEFAULT_WINDOW",
-    "DEFAULT_HORIZON",
-    "LimitPointVerdict",
-    "PartitionFlow",
-    "detect_entropy_plateau",
-    "detect_limit_point",
-    "entropy_sequence",
-    "materialize_flow",
-    "reverse",
-    # dynamics
-    "DEFAULT_WORD_CAP",
-    "CylinderDistribution",
-    "InfoRateReport",
-    "PermutationSystem",
-    "SymbolicSystem",
-    "TheoremCheckResult",
-    "cyclic_system",
-    "generating_partition",
-    "info_rate_report",
-    "is_chaotic",
-    "iterated_join",
-    "ks_entropy_family",
-    "markov_entropy_rate",
-    "parse_system_spec",
-    "pullback_partition",
-    "theorem_limit_point_check",
-    "verify_generating_map",
-    # ising
-    "COUPLING_CAP",
-    "CouplingVector",
-    "RgTrajectory",
-    "TransferMatrix",
-    "VVector",
-    "eigenvalues",
-    "eigenvalues_oracle",
-    "inverse_rg_step_zero_field",
-    "log_partition_function",
-    "partition_function",
-    "partition_function_bruteforce",
-    "rg_step_closed",
-    "rg_step_oracle",
-    "rg_trajectory",
-    "spin_configurations",
-    "transfer_matrix",
-    # lattice
-    "DEFAULT_CONFIG_CAP",
-    "ENV_CONFIG_CAP",
-    "IsingGibbsSpace",
-    "LatticeSpec",
-    "RgEntropyFlowResult",
-    "block_site_partition",
-    "effective_config_cap",
-    "gibbs_space",
-    "induced_config_partition",
-    "majority_first_site",
-    "reversed_refinement_flow",
-    "rg_entropy_flow",
+    *errors.__all__,
+    *partitions.__all__,
+    *flows.__all__,
+    *dynamics.__all__,
+    *ising.__all__,
+    *lattice.__all__,
 ]

@@ -11,6 +11,16 @@ Subcommands:
 Exit codes: 0 success, 2 validation failure, 3 resource cap exceeded,
 4 internal inconsistency (independent routes disagree beyond tolerance).
 
+The argparse parser is the one description of the flags. It is built
+once per process, and experiment config files are checked against its
+actions: the flag names, the required flags and which subcommands take
+``--format``.
+
+Every subcommand hands its record, and its table where it has one, to
+one writer. stdout gets the record; ``--out`` gets the table, delimited
+or as structured columns, or the record when there is no table.
+``partition`` writes its report to ``--out`` or, without it, to stdout.
+
 Outputs are deterministic: identical invocations produce byte-identical
 files and stdout. Files are written atomically (temp file, then rename).
 Delimited output uses comma-separated columns with shortest round-trip
@@ -21,13 +31,15 @@ and re-parse to equal values.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,33 +68,8 @@ EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_INCONSISTENT = 4
 
-SUBCOMMANDS = (
-    "partition",
-    "ks",
-    "ising-rg",
-    "ising-z",
-    "entropy-flow",
-    "theorem-check",
-)
-
-# Parameter names accepted per subcommand in experiment config files.
-_CONFIG_PARAMS: dict[str, set[str]] = {
-    "partition": {"input", "pairwise"},
-    "ks": {"system", "nmax", "partition", "cap", "tol"},
-    "ising-rg": {"v0", "v1", "steps", "tol", "sweep_random", "seed"},
-    "ising-z": {"k0", "k1", "n", "check_bruteforce", "log", "tol"},
-    "entropy-flow": {"k0", "k1", "sites", "block", "levels"},
-    "theorem-check": {"system", "partition", "epsilon", "window", "nmax", "cap"},
-}
-
-_REQUIRED_PARAMS: dict[str, set[str]] = {
-    "partition": {"input"},
-    "ks": {"system"},
-    "ising-rg": {"v0", "v1"},
-    "ising-z": {"k0", "k1", "n"},
-    "entropy-flow": {"k0", "k1", "sites"},
-    "theorem-check": {"system"},
-}
+# Flags a config file sets through its "output" section, not "params".
+_OUTPUT_FLAGS = ("out", "format")
 
 
 def _float_repr(x: float) -> str:
@@ -105,9 +92,13 @@ def _jsonable(value):
     return value
 
 
+def _json(value) -> str:
+    return json.dumps(_jsonable(value), sort_keys=True)
+
+
 def emit_record(record: dict, stream=None) -> str:
     """Serialize a structured record with stable key order and print it."""
-    text = json.dumps(_jsonable(record), sort_keys=True)
+    text = _json(record)
     print(text, file=stream if stream is not None else sys.stdout)
     return text
 
@@ -127,17 +118,58 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def _delimited(header: Sequence[str], rows: Sequence[Sequence[object]],
-               footer: Sequence[str] = ()) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [
-            _float_repr(cell) if isinstance(cell, float) else str(cell)
-            for cell in row
-        ]
-        lines.append(",".join(cells))
-    lines.extend(footer)
-    return "\n".join(lines) + "\n"
+class _Table(NamedTuple):
+    """Rows for ``--out``; structured output names its columns ``columns``."""
+
+    header: tuple[str, ...]
+    rows: list[tuple]
+    footer: tuple[str, ...] = ()
+    columns: tuple[str, ...] | None = None  # defaults to the header
+
+
+class _Output(NamedTuple):
+    """What a subcommand produced, for :func:`_write`."""
+
+    record: dict | None
+    table: _Table | None = None
+    # False for partition, whose --out text replaces stdout.
+    stdout_record: bool = True
+    # Set when independent routes disagreed; raised after the output is written.
+    inconsistency: str | None = None
+
+
+def _write(args, output: _Output) -> None:
+    """Send one subcommand's output to ``--out`` and stdout.
+
+    stdout gets the record. ``--out`` gets the table, as delimited rows
+    or, with ``--format structured``, as one object of columns; without
+    a table it gets the record. When ``stdout_record`` is off, the
+    ``--out`` text goes to stdout if there is no ``--out``.
+    """
+    table = output.table
+    if table is None:
+        text = _json(output.record) + "\n"
+    elif getattr(args, "format", "delimited") == "structured":
+        names = table.columns or table.header
+        text = _json(
+            {name: [row[i] for row in table.rows] for i, name in enumerate(names)}
+        ) + "\n"
+    else:
+        lines = [",".join(table.header)]
+        for row in table.rows:
+            lines.append(
+                ",".join(
+                    _float_repr(cell) if isinstance(cell, float) else str(cell)
+                    for cell in row
+                )
+            )
+        text = "\n".join([*lines, *table.footer]) + "\n"
+    if args.out:
+        atomic_write_text(args.out, text)
+    if output.stdout_record:
+        emit_record(output.record)
+    elif not args.out:
+        sys.stdout.write(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,7 +179,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The CLI's flags, built once per process."""
     parser = _Parser(prog="entroflow", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--config",
@@ -187,9 +221,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", help="write rows (step, V0, V1, c) here")
-    p.add_argument(
-        "--format", choices=("delimited", "structured"), default="delimited"
-    )
     p.add_argument(
         "--sweep-random",
         type=int,
@@ -233,6 +264,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _flags(subcommand: str) -> dict[str, argparse.Action]:
+    """A subcommand's flags by destination name, read from the parser."""
+    (choices,) = (
+        action.choices
+        for action in _parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {a.dest: a for a in choices[subcommand]._actions if a.dest != "help"}
+
+
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
@@ -267,8 +309,12 @@ def _load_partition_document(path: str):
     return space, partitions
 
 
-def _cmd_partition(args) -> int:
+def _cmd_partition(args) -> _Output:
     space, named = _load_partition_document(args.input)
+    if args.format == "delimited":
+        rows = [(name, p.n_atoms, entropy(p)) for name, p in named]
+        table = _Table(("name", "atom_count", "entropy_bits"), rows)
+        return _Output(None, table, stdout_record=False)
     report = {
         "space": {"ids": list(space.point_ids), "weights": list(space.weights)},
         "partitions": [
@@ -283,106 +329,69 @@ def _cmd_partition(args) -> int:
     }
     if args.pairwise:
         pairs = []
-        for i in range(len(named)):
-            for j in range(i + 1, len(named)):
-                left_name, left = named[i]
-                right_name, right = named[j]
-                joined = join(left, right)
-                pairs.append(
-                    {
-                        "left": left_name,
-                        "right": right_name,
-                        "left_coarsens_right": is_coarsening(left, right),
-                        "right_coarsens_left": is_coarsening(right, left),
-                        "pseudo_distance_bits": pseudo_distance(left, right),
-                        "join_atom_count": joined.n_atoms,
-                        "join_entropy_bits": entropy(joined),
-                    }
-                )
+        for (left_name, left), (right_name, right) in itertools.combinations(named, 2):
+            joined = join(left, right)
+            pairs.append(
+                {
+                    "left": left_name,
+                    "right": right_name,
+                    "left_coarsens_right": is_coarsening(left, right),
+                    "right_coarsens_left": is_coarsening(right, left),
+                    "pseudo_distance_bits": pseudo_distance(left, right),
+                    "join_atom_count": joined.n_atoms,
+                    "join_entropy_bits": entropy(joined),
+                }
+            )
         report["pairwise"] = pairs
-    if args.format == "delimited":
-        text = _delimited(
-            ("name", "atom_count", "entropy_bits"),
-            [(name, p.n_atoms, entropy(p)) for name, p in named],
-        )
-        if args.out:
-            atomic_write_text(args.out, text)
-        else:
-            sys.stdout.write(text)
-    else:
-        text = json.dumps(_jsonable(report), sort_keys=True) + "\n"
-        if args.out:
-            atomic_write_text(args.out, text)
-        else:
-            sys.stdout.write(text)
-    return EXIT_OK
+    return _Output(report, stdout_record=False)
 
 
-def _parse_partition_arg(system, raw: str | None):
+def _partition_arg(system, raw: str | None) -> Partition | None:
+    """The ``--partition`` atoms, or the default partition of the system.
+
+    The default is the generating partition (``None``) for shifts and a
+    half split of the points for permutations.
+    """
+    symbolic = isinstance(system, dynamics.SymbolicSystem)
     if raw is None:
-        return None
+        if symbolic:
+            return None
+        n = system.space.size
+        if n == 1:
+            return Partition.trivial(system.space)
+        return Partition(system.space, [range(n // 2), range(n // 2, n)])
     try:
         groups = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad --partition JSON: {exc.msg}") from None
-    if isinstance(system, dynamics.SymbolicSystem):
-        return Partition(system.symbol_space, groups)
-    return Partition(system.space, groups)
+    return Partition(system.symbol_space if symbolic else system.space, groups)
 
 
-def _default_partition(system):
-    """Generating partition for shifts, a half split for permutations."""
-    if isinstance(system, dynamics.SymbolicSystem):
-        return None
-    n = system.space.size
-    if n == 1:
-        return Partition.trivial(system.space)
-    half = n // 2
-    return Partition(system.space, [range(half), range(half, n)])
-
-
-def _cmd_ks(args) -> int:
+def _cmd_ks(args) -> _Output:
     system = dynamics.parse_system_spec(args.system)
-    partition = _parse_partition_arg(system, args.partition)
-    if partition is None:
-        partition = _default_partition(system)
     report = dynamics.info_rate_report(
-        system, partition, args.nmax, tol=args.tol, cap=args.cap
+        system,
+        _partition_arg(system, args.partition),
+        args.nmax,
+        tol=args.tol,
+        cap=args.cap,
     )
     rows = [
         (n + 1, report.block_entropies[n], report.rates[n])
         for n in range(report.n_max)
     ]
-    if args.out:
-        if args.format == "structured":
-            atomic_write_text(
-                args.out,
-                json.dumps(
-                    _jsonable(
-                        {
-                            "n": [r[0] for r in rows],
-                            "H_n": [r[1] for r in rows],
-                            "rate": [r[2] for r in rows],
-                        }
-                    ),
-                    sort_keys=True,
-                )
-                + "\n",
-            )
-        else:
-            atomic_write_text(args.out, _delimited(("n", "H_n", "H_n/n"), rows))
-    emit_record(
-        {
-            "system": args.system,
-            "n_max": report.n_max,
-            "h_estimate": report.h_estimate,
-            "converged": report.converged,
-        }
+    record = {
+        "system": args.system,
+        "n_max": report.n_max,
+        "h_estimate": report.h_estimate,
+        "converged": report.converged,
+    }
+    return _Output(
+        record, _Table(("n", "H_n", "H_n/n"), rows, columns=("n", "H_n", "rate"))
     )
-    return EXIT_OK
 
 
-def _cmd_ising_rg(args) -> int:
+def _cmd_ising_rg(args) -> _Output:
     if args.sweep_random is not None:
         return _cmd_ising_rg_sweep(args)
     start = ising.VVector(args.v0, args.v1)
@@ -397,25 +406,19 @@ def _cmd_ising_rg(args) -> int:
         if converged is None
         else f"{_float_repr(converged.v0)},{_float_repr(converged.v1)}"
     )
-    if args.out:
-        text = _delimited(
-            ("step", "V0", "V1", "c"),
-            rows,
-            footer=(f"# converged_to={footer_value}",),
-        )
-        atomic_write_text(args.out, text)
-    emit_record(
-        {
-            "start": [start.v0, start.v1],
-            "steps_used": trajectory.steps_used,
-            "converged_to": None if converged is None else [converged.v0, converged.v1],
-            "diverged": trajectory.diverged,
-        }
+    record = {
+        "start": [start.v0, start.v1],
+        "steps_used": trajectory.steps_used,
+        "converged_to": None if converged is None else [converged.v0, converged.v1],
+        "diverged": trajectory.diverged,
+    }
+    return _Output(
+        record,
+        _Table(("step", "V0", "V1", "c"), rows, (f"# converged_to={footer_value}",)),
     )
-    return EXIT_OK
 
 
-def _cmd_ising_rg_sweep(args) -> int:
+def _cmd_ising_rg_sweep(args) -> _Output:
     if args.seed is None:
         raise ValidationError("--seed is mandatory with --sweep-random")
     if args.sweep_random < 1:
@@ -435,11 +438,6 @@ def _cmd_ising_rg_sweep(args) -> int:
         worst["v1"] = max(worst["v1"], dv1)
         worst["c"] = max(worst["c"], dc / max(1.0, abs(oracle_c)))
         rows.append((i, v.v0, v.v1, dv0, dv1, dc))
-    if args.out:
-        atomic_write_text(
-            args.out,
-            _delimited(("i", "v0", "v1", "delta_v0", "delta_v1", "delta_c"), rows),
-        )
     tol = 1e-9
     record = {
         "sweep": args.sweep_random,
@@ -449,22 +447,23 @@ def _cmd_ising_rg_sweep(args) -> int:
         "max_rel_delta_c": worst["c"],
         "tolerance": tol,
     }
-    emit_record(record)
+    inconsistency = None
     if max(worst["v0"], worst["v1"], worst["c"]) > tol:
-        raise InconsistencyError(
+        inconsistency = (
             "closed-form decimation and the matrix-squaring oracle disagree "
             f"beyond {tol}"
         )
-    return EXIT_OK
+    table = _Table(("i", "v0", "v1", "delta_v0", "delta_v1", "delta_c"), rows)
+    return _Output(record, table, inconsistency=inconsistency)
 
 
-def _cmd_ising_z(args) -> int:
+def _cmd_ising_z(args) -> _Output:
     k = ising.CouplingVector(args.k0, args.k1)
     record: dict[str, object] = {"k0": k.k0, "k1": k.k1, "n": args.n}
     record["log_z"] = ising.log_partition_function(k, args.n)
     if not args.log:
         record["z"] = ising.partition_function(k, args.n)
-    exit_code = EXIT_OK
+    inconsistency = None
     if args.check_bruteforce:
         brute = ising.partition_function_bruteforce(k, args.n)
         record["bruteforce_z"] = brute
@@ -474,19 +473,11 @@ def _cmd_ising_z(args) -> int:
         delta = abs(float(closed) - brute) / abs(brute)
         record["bruteforce_delta"] = delta
         if delta > args.tol:
-            exit_code = EXIT_INCONSISTENT
-    text = emit_record(record)
-    if args.out:
-        atomic_write_text(args.out, text + "\n")
-    if exit_code != EXIT_OK:
-        print(
-            f"error: closed-form Z disagrees with brute force beyond {args.tol}",
-            file=sys.stderr,
-        )
-    return exit_code
+            inconsistency = f"closed-form Z disagrees with brute force beyond {args.tol}"
+    return _Output(record, inconsistency=inconsistency)
 
 
-def _cmd_entropy_flow(args) -> int:
+def _cmd_entropy_flow(args) -> _Output:
     result = lattice.rg_entropy_flow(
         (args.k0, args.k1),
         args.sites,
@@ -497,40 +488,23 @@ def _cmd_entropy_flow(args) -> int:
         (level, result.atom_counts[level], result.entropies[level])
         for level in range(result.levels)
     ]
-    if args.out:
-        if args.format == "structured":
-            payload = {
-                "level": [r[0] for r in rows],
-                "atoms": [r[1] for r in rows],
-                "H_bits": [r[2] for r in rows],
-            }
-            atomic_write_text(
-                args.out, json.dumps(_jsonable(payload), sort_keys=True) + "\n"
-            )
-        else:
-            atomic_write_text(args.out, _delimited(("level", "atoms", "H_bits"), rows))
-    emit_record(
-        {
-            "k0": result.coupling.k0,
-            "k1": result.coupling.k1,
-            "sites": result.n_sites,
-            "levels": result.levels,
-            "entropies": list(result.entropies),
-            "coarse_verdict": result.coarse_verdict.to_record(),
-            "refinement_verdict": result.refinement_verdict.to_record(),
-        }
-    )
-    return EXIT_OK
+    record = {
+        "k0": result.coupling.k0,
+        "k1": result.coupling.k1,
+        "sites": result.n_sites,
+        "levels": result.levels,
+        "entropies": list(result.entropies),
+        "coarse_verdict": result.coarse_verdict.to_record(),
+        "refinement_verdict": result.refinement_verdict.to_record(),
+    }
+    return _Output(record, _Table(("level", "atoms", "H_bits"), rows))
 
 
-def _cmd_theorem_check(args) -> int:
+def _cmd_theorem_check(args) -> _Output:
     system = dynamics.parse_system_spec(args.system)
-    partition = _parse_partition_arg(system, args.partition)
-    if partition is None:
-        partition = _default_partition(system)
     result = dynamics.theorem_limit_point_check(
         system,
-        partition,
+        _partition_arg(system, args.partition),
         epsilon=args.epsilon,
         window=args.window,
         n_max=args.nmax,
@@ -542,16 +516,10 @@ def _cmd_theorem_check(args) -> int:
         "h_estimate": result.h_estimate,
         "consistent": result.consistent,
     }
-    text = emit_record(record)
-    if args.out:
-        atomic_write_text(args.out, text + "\n")
+    inconsistency = None
     if not result.consistent:
-        print(
-            "error: witnessed limit point with a nonzero rate estimate",
-            file=sys.stderr,
-        )
-        return EXIT_INCONSISTENT
-    return EXIT_OK
+        inconsistency = "witnessed limit point with a nonzero rate estimate"
+    return _Output(record, inconsistency=inconsistency)
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +568,11 @@ def validate_config(path: str | Path) -> ExperimentConfig:
     The file is a JSON object with keys ``subcommand`` (one of the CLI
     subcommands), ``params`` (flag values for it, underscores for
     hyphens), optional ``output`` ({"format", "path"}) and optional
-    ``tolerances`` (positive numbers). All violations are collected into
-    one :class:`ConfigError` instead of stopping at the first.
+    ``tolerances`` (positive numbers). The only tolerance is ``tol``, and
+    only for subcommands with a ``--tol`` flag (``ks``, ``ising-rg``,
+    ``ising-z``); a ``tol`` under ``params`` takes precedence. All
+    violations are collected into one :class:`ConfigError` instead of
+    stopping at the first.
     """
     try:
         text = Path(path).read_text()
@@ -624,27 +595,29 @@ def validate_config(path: str | Path) -> ExperimentConfig:
 
     subcommand = doc.get("subcommand")
     params: dict[str, object] = {}
+    flags: dict[str, argparse.Action] = {}
     if subcommand is None:
         violations.append("missing required key 'subcommand'")
     elif subcommand not in SUBCOMMANDS:
         violations.append(
             f"unknown subcommand {subcommand!r}{_suggest(str(subcommand), SUBCOMMANDS)}"
         )
+    else:
+        flags = _flags(subcommand)
+    allowed = sorted(set(flags).difference(_OUTPUT_FLAGS))
     raw_params = doc.get("params", {})
     if not isinstance(raw_params, dict):
         violations.append("params must be an object")
         raw_params = {}
-    if subcommand in _CONFIG_PARAMS:
-        allowed = _CONFIG_PARAMS[subcommand]
+    if flags:
         for key, value in raw_params.items():
             if key not in allowed:
                 violations.append(
-                    f"unknown key {key!r} for {subcommand}"
-                    f"{_suggest(key, sorted(allowed))}"
+                    f"unknown key {key!r} for {subcommand}{_suggest(key, allowed)}"
                 )
             else:
                 params[key] = value
-        for key in sorted(_REQUIRED_PARAMS.get(subcommand, set())):
+        for key in sorted(dest for dest, action in flags.items() if action.required):
             if key not in raw_params:
                 violations.append(f"missing required key {key!r} for {subcommand}")
 
@@ -674,11 +647,18 @@ def validate_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(raw_tol, dict):
         violations.append("tolerances must be an object")
     else:
+        accepted = ("tol",) if "tol" in flags else ()
         for key, value in raw_tol.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 violations.append(f"tolerance {key!r} must be a number")
             elif value <= 0:
                 violations.append(f"tolerance {key!r} must be positive")
+            elif flags and key not in accepted:
+                if key in allowed:
+                    hint = " (set it under params)"
+                else:
+                    hint = _suggest(key, accepted)
+                violations.append(f"tolerance {key!r} does not apply to {subcommand}{hint}")
             else:
                 tolerances[key] = float(value)
 
@@ -695,30 +675,23 @@ def validate_config(path: str | Path) -> ExperimentConfig:
 
 def _argv_from_config(config: ExperimentConfig) -> list[str]:
     argv = [config.subcommand]
-    for key in sorted(config.params):
-        value = config.params[key]
+    values = {**config.tolerances, **config.params}
+    for key in sorted(values):
+        value = values[key]
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             if value:
                 argv.append(flag)
         else:
             argv.extend([flag, str(value)])
-    if "tol" in config.tolerances and "tol" not in config.params:
-        argv.extend(["--tol", str(config.tolerances["tol"])])
     if config.output_path is not None:
         argv.extend(["--out", config.output_path])
-        has_format = config.subcommand in (
-            "partition",
-            "ks",
-            "ising-rg",
-            "entropy-flow",
-        )
-        if has_format:
+        if "format" in _flags(config.subcommand):
             argv.extend(["--format", config.output_format])
     return argv
 
 
-_DISPATCH = {
+_COMMANDS = {
     "partition": _cmd_partition,
     "ks": _cmd_ks,
     "ising-rg": _cmd_ising_rg,
@@ -727,23 +700,27 @@ _DISPATCH = {
     "theorem-check": _cmd_theorem_check,
 }
 
+SUBCOMMANDS = tuple(_COMMANDS)
+
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and map errors onto exit codes."""
-    parser = _build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:  # --help and friends
             return int(exc.code or 0)
         if args.config is not None:
-            config = validate_config(args.config)
-            return run(_argv_from_config(config))
+            return run(_argv_from_config(validate_config(args.config)))
         if args.subcommand is None:
             raise ValidationError(
                 f"a subcommand is required: one of {', '.join(SUBCOMMANDS)}"
             )
-        return _DISPATCH[args.subcommand](args)
+        output = _COMMANDS[args.subcommand](args)
+        _write(args, output)
+        if output.inconsistency is not None:
+            raise InconsistencyError(output.inconsistency)
+        return EXIT_OK
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)

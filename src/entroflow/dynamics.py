@@ -105,7 +105,7 @@ class PermutationSystem:
             i = int(drift.argmax())
             raise ValidationError(
                 f"weight not preserved at point {i}: "
-                f"{w[i]!r} -> {w[mapping[i]]!r}"
+                f"{float(w[i])!r} -> {float(w[mapping[i]])!r}"
             )
 
     @cached_property

@@ -7,6 +7,16 @@ class that applies.
 
 from __future__ import annotations
 
+__all__ = [
+    "ConfigError",
+    "EntroflowError",
+    "FlowDirectionError",
+    "InconsistencyError",
+    "ResourceCapError",
+    "SpaceMismatchError",
+    "ValidationError",
+]
+
 
 class EntroflowError(Exception):
     """Base class for every error raised by this package."""

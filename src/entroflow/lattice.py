@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ResourceCapError, ValidationError
 from .flows import LimitPointVerdict, PartitionFlow, detect_limit_point, reverse
-from .ising import CouplingVector, partition_function, spin_configurations
+from .ising import CouplingVector, spin_configurations
 from .partitions import FiniteProbabilitySpace, Partition, entropy, make_space
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "gibbs_space",
     "induced_config_partition",
     "majority_first_site",
-    "reversed_refinement_flow",
     "rg_entropy_flow",
 ]
 
@@ -82,18 +81,12 @@ class LatticeSpec:
 
     site_count: int
     block_size: int = 2
-    spacing: float = 1.0
-    dimension: int = 1
 
     def __post_init__(self) -> None:
-        if self.dimension != 1:
-            raise ValidationError("only one-dimensional lattices are supported")
         if self.site_count < 2:
             raise ValidationError(f"need at least 2 sites, got {self.site_count}")
         if self.block_size < 2:
             raise ValidationError(f"block size must be at least 2, got {self.block_size}")
-        if self.spacing <= 0.0:
-            raise ValidationError(f"spacing must be positive, got {self.spacing!r}")
 
     def block_length(self, level: int) -> int:
         """Sites per block at a level; level 0 blocks ``block_size`` sites."""
@@ -147,15 +140,15 @@ class IsingGibbsSpace:
 
     ``space`` carries the normalized weights with one point per
     configuration (ids are +/- strings, site 0 first); ``configs`` is the
-    matching (2^n, n) array of spins; ``normalization`` is the enumerated
-    partition function before normalizing.
+    matching (2^n, n) array of spins; ``log_normalization`` is the log of
+    the enumerated partition function.
     """
 
     coupling: CouplingVector
     n_sites: int
     space: FiniteProbabilitySpace
     configs: np.ndarray
-    normalization: float
+    log_normalization: float
 
     def __post_init__(self) -> None:
         self.configs.setflags(write=False)
@@ -167,9 +160,12 @@ def gibbs_space(
 ) -> IsingGibbsSpace:
     """Enumerate the Gibbs measure exp(K0 sum S + K1 sum SS') / Z.
 
-    The chain is periodic. The enumerated normalization agrees with the
-    transfer-matrix partition function to 1e-10 relative, which is checked
-    by the test suite rather than on every construction.
+    The chain is periodic. Weights are exponentiated relative to the
+    largest exponent, so every coupling inside the |K| <= 300 cap gives
+    finite weights (the least likely configurations may underflow to 0).
+    The enumerated log normalization agrees with the transfer-matrix
+    ``log_partition_function`` to 1e-10, which is checked by the test
+    suite rather than on every construction.
     """
     kk = k if isinstance(k, CouplingVector) else CouplingVector(*map(float, k))
     n = int(n_sites)
@@ -184,14 +180,15 @@ def gibbs_space(
     spins = spin_configurations(n)
     field = spins.sum(axis=1, dtype=np.int64)
     bonds = (spins * np.roll(spins, -1, axis=1)).sum(axis=1, dtype=np.int64)
-    boltzmann = np.exp(kk.k0 * field + kk.k1 * bonds)
-    z = float(boltzmann.sum())
-    if not np.isfinite(z):
-        raise ValidationError("Gibbs weights overflowed; reduce the couplings")
+    exponent = kk.k0 * field + kk.k1 * bonds
+    top = exponent.max()
+    boltzmann = np.exp(exponent - top)
+    total = boltzmann.sum()
     ids = np.where(spins > 0, "+", "-").view(f"<U{n}").ravel().tolist()
-    space = make_space(ids, boltzmann / z, normalize=True)
+    space = make_space(ids, boltzmann / total, normalize=True)
+    log_z = float(top + np.log(total))
     return IsingGibbsSpace(
-        coupling=kk, n_sites=n, space=space, configs=spins, normalization=z
+        coupling=kk, n_sites=n, space=space, configs=spins, log_normalization=log_z
     )
 
 
@@ -332,15 +329,3 @@ def rg_entropy_flow(
         refinement_verdict=refinement_verdict,
     )
 
-
-def reversed_refinement_flow(
-    k: CouplingVector | Sequence[float],
-    n_sites: int,
-    block_size: int = 2,
-    levels: int = 1,
-    block_map: BlockMap = majority_first_site,
-) -> PartitionFlow:
-    """The block-spin flow read backwards, finest partition first."""
-    return rg_entropy_flow(
-        k, n_sites, block_size=block_size, levels=levels, block_map=block_map
-    ).refinement_flow

@@ -1,10 +1,14 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroflow import ConfigError, cli, dynamics
 from entroflow.cli import (
@@ -220,6 +224,21 @@ class TestExitCodes:
         assert math.isfinite(record["log_z"])
         assert record.get("bruteforce_delta", 0.0) < 1e-12
 
+    @pytest.mark.parametrize("fmt", ["structured", "delimited"])
+    def test_ising_rg_has_no_format_flag(self, capsys, fmt):
+        code = run(["ising-rg", "--v0", "0.7", "--v1", "0.9", "--format", fmt])
+        assert code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k1, sites", [(45.0, 16), (300.0, 4), (-300.0, 4)])
+    def test_entropy_flow_inside_the_coupling_cap(self, capsys, k1, sites):
+        # the unshifted Gibbs weights overflow a double at these couplings
+        assert run(["entropy-flow", "--k0", "0", "--k1", str(k1),
+                    "--sites", str(sites)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["entropies"] == [1.0]
+        assert captured.err == ""
+
     def test_reducible_markov_chain_is_rejected(self, capsys):
         assert run(["ks", "--system", "markov:[[1,0],[0,1]]", "--nmax", "4"]) == 2
         assert "stationary" in capsys.readouterr().err
@@ -395,6 +414,49 @@ class TestConfigFiles:
         assert run(["--config", path]) == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "subcommand, params, tolerances, message",
+        [
+            ("theorem-check", {"system": "cycle:8"}, {"epsilon": 0.5},
+             "tolerance 'epsilon' does not apply to theorem-check "
+             "(set it under params)"),
+            ("entropy-flow", {"k0": 0.1, "k1": 0.5, "sites": 8}, {"tol": 1e-9},
+             "tolerance 'tol' does not apply to entropy-flow"),
+            ("partition", {"input": "doc.json"}, {"tol": 1e-9},
+             "tolerance 'tol' does not apply to partition"),
+            ("ks", {"system": "cycle:4"}, {"tols": 1e-9},
+             "tolerance 'tols' does not apply to ks (did you mean 'tol'?)"),
+        ],
+    )
+    def test_tolerance_the_subcommand_cannot_use(
+        self, tmp_path, capsys, subcommand, params, tolerances, message
+    ):
+        path = self.write(
+            tmp_path,
+            {"subcommand": subcommand, "params": params, "tolerances": tolerances},
+        )
+        assert run(["--config", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_non_string_subcommand(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"subcommand": ["ks"], "params": {}})
+        assert run(["--config", path]) == 2
+        assert "unknown subcommand" in capsys.readouterr().err
+
+    def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        path = self.write(
+            tmp_path, {"subcommand": "ising-z", "params": {"k0": 0, "k1": 1, "n": 3}}
+        )
+        cli._parser()
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("the argument parser was built again")
+
+        monkeypatch.setattr(cli._Parser, "__init__", rebuilt)
+        assert run(["--config", path]) == 0
+        assert run(["ising-z", "--k0", "0", "--k1", "1", "--n", "3"]) == 0
+        capsys.readouterr()
+
     def test_validate_returns_config(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -479,3 +541,103 @@ class TestHelpers:
         atomic_write_text(target, "two\n")
         assert target.read_text() == "two\n"
         assert os.listdir(tmp_path) == ["file.txt"]
+
+
+MARKOV = "markov:[[0.9,0.1],[0.5,0.5]]"
+
+
+class TestFlagsAndConfigAgree:
+    """A --config run and the equivalent flags give the same bytes."""
+
+    @pytest.mark.parametrize(
+        "code, argv, config",
+        [
+            (0, ["partition", "--input", "{doc}", "--pairwise",
+                 "--format", "delimited"],
+             {"subcommand": "partition",
+              "params": {"input": "{doc}", "pairwise": True},
+              "output": {"format": "delimited"}}),
+            (0, ["ks", "--system", MARKOV, "--nmax", "6", "--tol", "1e-08",
+                 "--format", "structured"],
+             {"subcommand": "ks", "params": {"system": MARKOV, "nmax": 6},
+              "output": {"format": "structured"}, "tolerances": {"tol": 1e-8}}),
+            # ising-rg takes no --format: the config's output format is unused
+            (0, ["ising-rg", "--v0", "0.7", "--v1", "0.9", "--steps", "60"],
+             {"subcommand": "ising-rg",
+              "params": {"v0": 0.7, "v1": 0.9, "steps": 60},
+              "output": {"format": "structured"}}),
+            (4, ["ising-z", "--k0", "0.3", "--k1", "0.7", "--n", "10",
+                 "--check-bruteforce", "--tol", "1e-18"],
+             {"subcommand": "ising-z",
+              "params": {"k0": 0.3, "k1": 0.7, "n": 10, "check_bruteforce": True},
+              "tolerances": {"tol": 1e-18}}),
+            (0, ["entropy-flow", "--k0", "0.1", "--k1", "0.5", "--sites", "8",
+                 "--levels", "2", "--format", "structured"],
+             {"subcommand": "entropy-flow",
+              "params": {"k0": 0.1, "k1": 0.5, "sites": 8, "levels": 2},
+              "output": {"format": "structured"}}),
+            (0, ["theorem-check", "--system", "cycle:8", "--nmax", "12",
+                 "--epsilon", "0.01"],
+             {"subcommand": "theorem-check",
+              "params": {"system": "cycle:8", "nmax": 12, "epsilon": 0.01}}),
+        ],
+        ids=cli.SUBCOMMANDS,
+    )
+    def test_same_stdout_and_file(self, tmp_path, capsys, code, argv, config):
+        doc = write_doc(tmp_path, SAMPLE_DOC)
+        results = []
+        for name in ("flags", "config"):
+            out = tmp_path / f"{name}.out"
+            if name == "flags":
+                args = [a.replace("{doc}", doc) for a in argv] + ["--out", str(out)]
+            else:
+                params = {k: doc if v == "{doc}" else v
+                          for k, v in config["params"].items()}
+                output = {**config.get("output", {}), "path": str(out)}
+                path = tmp_path / "config.json"
+                path.write_text(json.dumps({**config, "params": params,
+                                            "output": output}))
+                args = ["--config", str(path)]
+            assert run(args) == code
+            results.append((capsys.readouterr(), out.read_bytes()))
+        assert results[0] == results[1]
+        assert results[0][1]
+
+
+@st.composite
+def accepted_invocations(draw):
+    """Flag sets the parser accepts, with couplings anywhere in |K| <= 300."""
+    coupling = st.floats(min_value=-300.0, max_value=300.0)
+    kind = draw(st.sampled_from(["ising-z", "ising-rg", "entropy-flow"]))
+    if kind == "ising-z":
+        n = draw(st.integers(2, 20))
+        argv = ["ising-z", "--k0", repr(draw(coupling)), "--k1", repr(draw(coupling)),
+                "--n", str(n)]
+        if draw(st.booleans()):
+            argv.append("--log")
+        if n <= 12 and draw(st.booleans()):
+            argv.append("--check-bruteforce")
+        return argv
+    if kind == "ising-rg":
+        v = coupling.map(lambda k: repr(math.exp(-k)))
+        return ["ising-rg", "--v0", draw(v), "--v1", draw(v),
+                "--steps", str(draw(st.integers(1, 60)))]
+    return ["entropy-flow", "--k0", repr(draw(coupling)), "--k1", repr(draw(coupling)),
+            "--sites", str(draw(st.integers(2, 8))),
+            "--levels", str(draw(st.integers(1, 3)))]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in a record")
+
+
+@settings(max_examples=120, deadline=None)
+@given(accepted_invocations())
+def test_accepted_input_never_exits_1(argv):
+    """Exit 0 with a finite record, or one of the documented exits 2, 3, 4."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

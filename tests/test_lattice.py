@@ -18,9 +18,8 @@ from entroflow import (
     gibbs_space,
     induced_config_partition,
     is_coarsening,
+    log_partition_function,
     majority_first_site,
-    partition_function,
-    reversed_refinement_flow,
     rg_entropy_flow,
 )
 
@@ -43,10 +42,6 @@ class TestLatticeSpec:
             LatticeSpec(site_count=1)
         with pytest.raises(ValidationError):
             LatticeSpec(site_count=4, block_size=1)
-        with pytest.raises(ValidationError):
-            LatticeSpec(site_count=4, spacing=0.0)
-        with pytest.raises(ValidationError):
-            LatticeSpec(site_count=4, dimension=2)
 
     def test_block_length_ladder(self):
         spec = LatticeSpec(site_count=8)
@@ -113,11 +108,11 @@ class TestGibbsSpace:
     def test_infinite_temperature_is_uniform(self):
         g = gibbs_space((0.0, 0.0), 2)
         assert np.allclose(g.space.weights, 0.25)
-        assert g.normalization == pytest.approx(4.0, rel=1e-15)
+        assert g.log_normalization == pytest.approx(math.log(4.0), rel=1e-15)
 
     def test_zero_field_ln2_weights(self):
         g = gibbs_space((0.0, LN2), 2)
-        assert g.normalization == pytest.approx(8.5, abs=1e-12)
+        assert g.log_normalization == pytest.approx(math.log(8.5), abs=1e-12)
         by_id = dict(zip(g.space.point_ids, g.space.weights))
         assert by_id["++"] == pytest.approx(4.0 / 8.5, abs=1e-15)
         assert by_id["--"] == pytest.approx(4.0 / 8.5, abs=1e-15)
@@ -127,8 +122,20 @@ class TestGibbsSpace:
     def test_normalization_matches_transfer_matrix(self):
         k = CouplingVector(0.3, 0.5)
         g = gibbs_space(k, 8)
-        z = partition_function(k, 8)
-        assert abs(g.normalization - z) <= 1e-10 * z
+        assert abs(g.log_normalization - log_partition_function(k, 8)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "k, n", [((0.0, 45.0), 16), ((0.0, 300.0), 4), ((-300.0, -300.0), 5)]
+    )
+    def test_couplings_at_the_cap_stay_finite(self, k, n):
+        # the unshifted weights exp(K0 sum S + K1 sum SS') overflow a double here
+        g = gibbs_space(k, n)
+        assert math.isfinite(g.log_normalization)
+        assert g.log_normalization == pytest.approx(
+            log_partition_function(k, n), rel=1e-12
+        )
+        assert np.all(np.isfinite(g.space.weight_array))
+        assert math.fsum(g.space.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_ids_read_site_zero_first(self):
         g = gibbs_space((0.0, 0.0), 3)
@@ -293,7 +300,7 @@ class TestRgEntropyFlow:
 
 class TestReversedRefinementFlow:
     def test_direction_and_monotone_entropy(self):
-        flow = reversed_refinement_flow((0.1, 0.4), 8, levels=3)
+        flow = rg_entropy_flow((0.1, 0.4), 8, levels=3).refinement_flow
         assert flow.direction == "refinement"
         values = [entropy(p) for p in flow]
         assert values == sorted(values)
