@@ -31,6 +31,7 @@ and re-parse to equal values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -104,18 +105,26 @@ def emit_record(record: dict, stream=None) -> str:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write a file through a temp sibling and an atomic rename."""
+    """Write a file through a temp sibling and an atomic rename.
+
+    A path that cannot be written raises :class:`ValidationError` naming
+    it, and no temp file is left behind.
+    """
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+    tmp_name = None
     try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp_name, target)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+        tmp_name = None
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
+    finally:
+        if tmp_name is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
 
 
 class _Table(NamedTuple):

@@ -164,7 +164,12 @@ class SymbolicSystem:
 
     @classmethod
     def bernoulli(cls, probabilities: Iterable[float]) -> "SymbolicSystem":
-        return cls(tuple(float(x) for x in probabilities), None)
+        return cls(
+            tuple(
+                _number(x, f"probability {i}") for i, x in enumerate(probabilities)
+            ),
+            None,
+        )
 
     @classmethod
     def markov(
@@ -173,11 +178,22 @@ class SymbolicSystem:
         stationary: Iterable[float] | None = None,
     ) -> "SymbolicSystem":
         """Markov shift from Q, deriving the stationary vector if not given."""
-        q = np.asarray([[float(x) for x in row] for row in transition], dtype=float)
+        rows = [
+            [_number(x, f"transition entry [{i}][{j}]") for j, x in enumerate(row)]
+            for i, row in enumerate(transition)
+        ]
+        if len({len(row) for row in rows}) > 1:
+            raise ValidationError(
+                f"transition rows have unequal lengths {[len(row) for row in rows]}"
+            )
+        q = np.asarray(rows, dtype=float)
         if stationary is None:
             pi = _stationary_vector(q)
         else:
-            pi = np.asarray([float(x) for x in stationary], dtype=float)
+            pi = np.asarray(
+                [_number(x, f"stationary entry {i}") for i, x in enumerate(stationary)],
+                dtype=float,
+            )
         return cls(tuple(pi.tolist()), tuple(tuple(row) for row in q.tolist()))
 
     @property
@@ -193,6 +209,14 @@ class SymbolicSystem:
         """The alphabet as a probability space under the single-symbol law."""
         m = self.alphabet_size
         return make_space(tuple(str(s) for s in range(m)), self.marginal)
+
+
+def _number(value: object, what: str) -> float:
+    """``float(value)``, or a :class:`ValidationError` naming the bad entry."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} is not a number: {value!r}") from None
 
 
 def _stationary_vector(q: np.ndarray) -> np.ndarray:
@@ -295,6 +319,13 @@ def _symbol_labels(system: SymbolicSystem, partition: Partition | None) -> np.nd
     return owner
 
 
+def _positive_cap(cap: int) -> int:
+    cap = int(cap)
+    if cap < 1:
+        raise ValidationError(f"cap must be positive, got {cap}")
+    return cap
+
+
 def _check_cap(entries: int, cap: int) -> None:
     if entries > cap:
         raise ResourceCapError(
@@ -314,7 +345,7 @@ class _WordEngine:
     def __init__(self, system: SymbolicSystem, labels: np.ndarray, cap: int):
         self.system = system
         self.labels = labels
-        self.cap = int(cap)
+        self.cap = _positive_cap(cap)
         self.m = system.alphabet_size
         self.groups = int(labels.max()) + 1
         self.identity = self.groups == self.m and bool(
@@ -386,6 +417,7 @@ def _join_flow_permutation(
     cap: int,
 ) -> list[Partition]:
     """Materialize join(P, T^{-1}P, ..., T^{-(n-1)}P) for n = 1..n_max."""
+    cap = _positive_cap(cap)
     if partition.space is not system.space and partition.space != system.space:
         raise ValidationError("partition does not live on the system's space")
     joins = [partition]

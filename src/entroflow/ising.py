@@ -222,13 +222,27 @@ def partition_function_bruteforce(
         raise ValidationError(
             f"brute force is capped at {_BRUTEFORCE_MAX_SITES} sites, got {n}"
         )
-    spins = spin_configurations(n)
-    field = spins.sum(axis=1, dtype=np.int64)
-    bonds = (spins * np.roll(spins, -1, axis=1)).sum(axis=1, dtype=np.int64)
+    field, bonds = _field_and_bond_sums(n)
     z = float(np.exp(kk.k0 * field + kk.k1 * bonds).sum())
     if not math.isfinite(z):
         raise ValidationError("brute-force Z overflowed; reduce the couplings")
     return z
+
+
+def _field_and_bond_sums(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i S_i and sum_i S_i S_{i+1} for every configuration index, as int64.
+
+    Index i has spin j down when bit j is set (the layout of
+    :func:`spin_configurations`), so the field sum is n - 2 popcount(i)
+    and the periodic bond sum is n - 2 popcount(i XOR rot(i)), where
+    rot(i) moves bit j + 1 to bit j and bit 0 to bit n - 1.
+    """
+    n = int(n_sites)
+    index = np.arange(1 << n, dtype=np.int64)
+    rotated = (index >> 1) | ((index & 1) << (n - 1))
+    down = np.bitwise_count(index).astype(np.int64)
+    broken = np.bitwise_count(index ^ rotated).astype(np.int64)
+    return n - 2 * down, n - 2 * broken
 
 
 def spin_configurations(n_sites: int) -> np.ndarray:

@@ -12,6 +12,15 @@ what makes consecutive levels nested, hence a genuine coarse-graining
 flow with nonincreasing entropy; applying the rule to raw spins at every
 level independently does not nest in general.
 
+Configurations are packed integers: configuration i has spin j down when
+bit j of i is set, and each level's block variables are packed the same
+way, one bit per block. A block rule must act on each row on its own,
+so it is evaluated once, on the (2^b, b) table of every sign pattern of
+a block, and range-checked there: a rule that returns anything but +-1
+on some pattern is rejected even when no configuration shows that
+pattern. The levels are then table lookups on the packed integers, which
+also serve as the partition keys.
+
 Configuration enumeration is exact and capped at 2^16 configurations; the
 environment variable ENTROFLOW_MAX_CONFIGS may lower (never raise) that
 cap.
@@ -19,15 +28,17 @@ cap.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
 from .flows import LimitPointVerdict, PartitionFlow, detect_limit_point, reverse
-from .ising import CouplingVector, spin_configurations
+from .ising import CouplingVector, _field_and_bond_sums, spin_configurations
 from .partitions import FiniteProbabilitySpace, Partition, entropy, make_space
 
 __all__ = [
@@ -51,7 +62,10 @@ DEFAULT_CONFIG_CAP = 2**16
 #: Environment variable that may lower the cap.
 ENV_CONFIG_CAP = "ENTROFLOW_MAX_CONFIGS"
 
-#: A block rule: (n_configs, block_len) array of +-1 -> (n_configs,) of +-1.
+#: A block rule: (rows, block_len) array of +-1 -> (rows,) of +-1, each row
+#: mapped on its own. It is called once per block length, on the
+#: (2^block_len, block_len) table of all sign patterns, and must return
+#: +-1 on every one of them.
 BlockMap = Callable[[np.ndarray], np.ndarray]
 
 
@@ -134,24 +148,70 @@ def majority_first_site(block: np.ndarray) -> np.ndarray:
     return out
 
 
+class _ConfigIds(Sequence[str]):
+    """The ids of all 2^n configurations, each built when it is read.
+
+    Id i lists the spins from site 0, "+" for up and "-" for down, site j
+    being down when bit j of i is set; the ids are distinct by
+    construction. Iterating builds them all at once.
+    """
+
+    def __init__(self, n_sites: int) -> None:
+        self.n_sites = n_sites
+
+    def __len__(self) -> int:
+        return 1 << self.n_sites
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"configuration index {index} out of range")
+        return "".join("-" if i >> j & 1 else "+" for j in range(self.n_sites))
+
+    def __iter__(self) -> Iterator[str]:
+        spins = spin_configurations(self.n_sites)
+        ids = np.where(spins > 0, "+", "-").view(f"<U{self.n_sites}").ravel()
+        return iter(ids.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _ConfigIds):
+            return self.n_sites == other.n_sites
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"_ConfigIds(n_sites={self.n_sites})"
+
+
 @dataclass(frozen=True, eq=False)
 class IsingGibbsSpace:
     """Boltzmann weights of the periodic Ising chain over all configurations.
 
     ``space`` carries the normalized weights with one point per
-    configuration (ids are +/- strings, site 0 first); ``configs`` is the
-    matching (2^n, n) array of spins; ``log_normalization`` is the log of
-    the enumerated partition function.
+    configuration, point i being configuration index i (ids are +/-
+    strings, site 0 first, built on access); ``configs`` is the matching
+    read-only (2^n, n) array of spins, built on first use;
+    ``log_normalization`` is the log of the enumerated partition function.
     """
 
     coupling: CouplingVector
     n_sites: int
     space: FiniteProbabilitySpace
-    configs: np.ndarray
     log_normalization: float
 
-    def __post_init__(self) -> None:
-        self.configs.setflags(write=False)
+    @cached_property
+    def configs(self) -> np.ndarray:
+        spins = spin_configurations(self.n_sites)
+        spins.setflags(write=False)
+        return spins
 
 
 def gibbs_space(
@@ -177,19 +237,19 @@ def gibbs_space(
             f"{2**n} configurations exceed the cap of {cap} "
             f"({ENV_CONFIG_CAP} lowers it, never raises it)"
         )
-    spins = spin_configurations(n)
-    field = spins.sum(axis=1, dtype=np.int64)
-    bonds = (spins * np.roll(spins, -1, axis=1)).sum(axis=1, dtype=np.int64)
+    field, bonds = _field_and_bond_sums(n)
     exponent = kk.k0 * field + kk.k1 * bonds
     top = exponent.max()
     boltzmann = np.exp(exponent - top)
     total = boltzmann.sum()
-    ids = np.where(spins > 0, "+", "-").view(f"<U{n}").ravel().tolist()
-    space = make_space(ids, boltzmann / total, normalize=True)
-    log_z = float(top + np.log(total))
-    return IsingGibbsSpace(
-        coupling=kk, n_sites=n, space=space, configs=spins, log_normalization=log_z
+    weights = boltzmann / total
+    # the second rescaling gives the bytes of make_space(..., normalize=True)
+    # on the once-normalized weights
+    space = FiniteProbabilitySpace._from_distinct_ids(
+        _ConfigIds(n), weights / float(weights.sum())
     )
+    log_z = float(top + np.log(total))
+    return IsingGibbsSpace(coupling=kk, n_sites=n, space=space, log_normalization=log_z)
 
 
 def _contiguous_blocks(site_partition: Partition) -> list[np.ndarray]:
@@ -204,35 +264,40 @@ def _contiguous_blocks(site_partition: Partition) -> list[np.ndarray]:
     return blocks
 
 
-def _partition_from_variables(
-    gibbs: IsingGibbsSpace, variables: np.ndarray
-) -> Partition:
-    """Group configurations by identical block-variable rows.
+def _rule_table(block_map: BlockMap, length: int) -> np.ndarray:
+    """The rule on every sign pattern of a block of ``length`` spins.
 
-    Each row of +-1 values is packed into one integer key, bit j set when
-    column j is +1; at most 16 columns arise under the configuration cap.
+    Entry p is 1 when the rule sends pattern p down and 0 when up, pattern
+    p having spin t down when bit t of p is set: the same packing as the
+    configuration indices, so the entries index the next level's tables.
     """
-    bits = np.left_shift(1, np.arange(variables.shape[1], dtype=np.int64))
-    return Partition._from_labels(gibbs.space, (variables > 0) @ bits)
+    patterns = spin_configurations(length)
+    values = np.asarray(block_map(patterns))
+    if values.shape != (patterns.shape[0],) or not np.all(np.abs(values) == 1):
+        raise ValidationError("block map must return one +-1 value per row")
+    return (values < 0).astype(np.int64)
 
 
-def _apply_block_map(
-    values: np.ndarray, block_size: int, block_map: BlockMap
+def _block_codes(
+    codes: np.ndarray, table: np.ndarray, length: int, blocks: int
 ) -> np.ndarray:
-    n_cols = values.shape[1]
-    if n_cols % block_size != 0:
-        raise ValidationError(
-            f"{n_cols} columns do not split into blocks of {block_size}"
-        )
-    out = np.empty((values.shape[0], n_cols // block_size), dtype=np.int8)
-    for b in range(n_cols // block_size):
-        result = np.asarray(
-            block_map(values[:, b * block_size : (b + 1) * block_size])
-        )
-        if not np.all(np.abs(result) == 1):
-            raise ValidationError("block map must return +-1 values")
-        out[:, b] = result
-    return out
+    """Apply a rule table to the first ``blocks`` runs of ``length`` bits.
+
+    Block t of each code is bits t*length .. (t+1)*length - 1, and its
+    variable becomes bit t of the result. Neighbouring blocks are looked
+    up together, up to 12 bits at once, through the table of the rule on
+    that many blocks.
+    """
+    group = min(blocks, max(1, 12 // length))
+    patterns = np.arange(1 << group * length, dtype=np.int64)
+    wide = np.zeros_like(patterns)
+    for t in range(group):
+        wide |= table[(patterns >> t * length) & ((1 << length) - 1)] << t
+    out = np.zeros_like(codes)
+    for start in range(0, blocks, group):
+        out |= wide[(codes >> start * length) & (patterns.size - 1)] << start
+    # a short last group reads absent blocks as pattern 0; drop their bits
+    return out & ((1 << blocks) - 1)
 
 
 def induced_config_partition(
@@ -251,12 +316,16 @@ def induced_config_partition(
             f"site partition covers {site_partition.space.size} sites, "
             f"the configurations have {gibbs.n_sites}"
         )
-    blocks = _contiguous_blocks(site_partition)
-    columns = [
-        _apply_block_map(gibbs.configs[:, sites], sites.size, block_map)
-        for sites in blocks
-    ]
-    return _partition_from_variables(gibbs, np.hstack(columns))
+    index = np.arange(gibbs.space.size, dtype=np.int64)
+    tables: dict[int, np.ndarray] = {}
+    keys = np.zeros_like(index)
+    for column, sites in enumerate(_contiguous_blocks(site_partition)):
+        length = sites.size
+        if length not in tables:
+            tables[length] = _rule_table(block_map, length)
+        pattern = (index >> sites[0]) & ((1 << length) - 1)
+        keys |= tables[length][pattern] << column
+    return Partition._from_labels(gibbs.space, keys)
 
 
 @dataclass(frozen=True)
@@ -299,11 +368,14 @@ def rg_entropy_flow(
     for level in range(levels):
         spec.block_length(level)  # validates divisibility up front
     gibbs = gibbs_space(k, n_sites)
-    variables = gibbs.configs
+    table = _rule_table(block_map, spec.block_size)
+    codes = np.arange(gibbs.space.size, dtype=np.int64)
+    width = gibbs.n_sites
     partitions: list[Partition] = []
     for _ in range(levels):
-        variables = _apply_block_map(variables, spec.block_size, block_map)
-        partitions.append(_partition_from_variables(gibbs, variables))
+        width //= spec.block_size
+        codes = _block_codes(codes, table, spec.block_size, width)
+        partitions.append(Partition._from_labels(gibbs.space, codes))
     coarse = PartitionFlow(gibbs.space, tuple(partitions), "coarse-graining")
     refinement = reverse(coarse)
     entropies = tuple(entropy(p) for p in partitions)

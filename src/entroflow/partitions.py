@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,29 +57,52 @@ def shannon_bits(probabilities: Iterable[float] | np.ndarray) -> float:
     return float(-(pos * np.log2(pos)).sum()) + 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteProbabilitySpace:
     """A finite set of labelled points with weights summing to one.
 
     Point labels are opaque hashable values; all structural operations work
-    on point indices. Two spaces compare equal when their labels and
-    weights agree entry for entry, and partitions built on equal spaces
-    interoperate.
+    on point indices. ``weight_array`` is the read-only float64 weight
+    vector and ``weights`` the same values as a tuple, built on first use.
+    Two spaces compare equal when their labels and weights agree entry for
+    entry, and partitions built on equal spaces interoperate.
     """
 
-    point_ids: tuple[Hashable, ...]
-    weights: tuple[float, ...]
+    point_ids: Sequence[Hashable]
+    weight_array: np.ndarray
 
-    def __post_init__(self) -> None:
-        if len(self.point_ids) == 0:
+    def __init__(
+        self, point_ids: Iterable[Hashable], weights: Sequence[float] | np.ndarray
+    ) -> None:
+        """Validate distinct labels and finite, nonnegative, normalized weights."""
+        self._assign(tuple(point_ids), weights, distinct=False)
+
+    @classmethod
+    def _from_distinct_ids(
+        cls, point_ids: Sequence[Hashable], weights: np.ndarray
+    ) -> "FiniteProbabilitySpace":
+        """A space whose labels are distinct by construction.
+
+        The labels are kept as given (a lazy sequence stays lazy) and not
+        checked for repeats; the weights get every check.
+        """
+        self = object.__new__(cls)
+        self._assign(point_ids, weights, distinct=True)
+        return self
+
+    def _assign(
+        self,
+        point_ids: Sequence[Hashable],
+        weights: Sequence[float] | np.ndarray,
+        distinct: bool,
+    ) -> None:
+        w = np.array(weights, dtype=float)
+        if len(point_ids) == 0:
             raise ValidationError("a probability space needs at least one point")
-        if len(self.point_ids) != len(self.weights):
-            raise ValidationError(
-                f"{len(self.point_ids)} point ids but {len(self.weights)} weights"
-            )
-        if len(set(self.point_ids)) != len(self.point_ids):
+        if len(point_ids) != len(w):
+            raise ValidationError(f"{len(point_ids)} point ids but {len(w)} weights")
+        if not distinct and len(set(point_ids)) != len(point_ids):
             raise ValidationError("duplicate point ids")
-        w = np.asarray(self.weights, dtype=float)
         if not np.all(np.isfinite(w)):
             raise ValidationError("weights must be finite")
         if np.any(w < 0.0):
@@ -90,16 +113,17 @@ class FiniteProbabilitySpace:
                 f"unnormalized weights (sum {total!r}); pass normalize=True to "
                 "make_space to rescale"
             )
+        w.setflags(write=False)
+        object.__setattr__(self, "point_ids", point_ids)
+        object.__setattr__(self, "weight_array", w)
 
     @cached_property
-    def weight_array(self) -> np.ndarray:
-        arr = np.asarray(self.weights, dtype=float)
-        arr.setflags(write=False)
-        return arr
+    def weights(self) -> tuple[float, ...]:
+        return tuple(self.weight_array.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.point_ids)
+        return self.weight_array.size
 
     @cached_property
     def _index_by_id(self) -> dict[Hashable, int]:
@@ -112,10 +136,27 @@ class FiniteProbabilitySpace:
         except KeyError:
             raise ValidationError(f"unknown point id {point_id!r}") from None
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FiniteProbabilitySpace):
+            return NotImplemented
+        return self is other or (
+            np.array_equal(self.weight_array, other.weight_array)
+            and self.point_ids == other.point_ids
+        )
+
+    @cached_property
+    def _hash(self) -> int:
+        # weights only, so labels of any sequence type hash alike; + 0.0
+        # maps a -0.0 weight to the bytes of the equal 0.0
+        return hash((self.weight_array + 0.0).tobytes())
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 def make_space(
     point_ids: Iterable[Hashable],
-    weights: Iterable[float],
+    weights: Iterable[float] | np.ndarray,
     *,
     normalize: bool = False,
     tol: float = DEFAULT_TOLERANCE,
@@ -124,8 +165,9 @@ def make_space(
 
     Args:
         point_ids: distinct hashable labels, one per point.
-        weights: nonnegative weights. Must sum to 1 within ``tol`` unless
-            ``normalize`` is set, in which case they are rescaled.
+        weights: nonnegative weights, an array or any iterable of numbers.
+            Must sum to 1 within ``tol`` unless ``normalize`` is set, in
+            which case they are rescaled.
         normalize: rescale the weights to total mass one.
         tol: absolute tolerance on the normalization check.
 
@@ -133,8 +175,9 @@ def make_space(
         ValidationError: on duplicate ids, negative weights, zero total
             mass, or an unnormalized vector when ``normalize`` is false.
     """
-    ids = tuple(point_ids)
-    w = np.asarray(list(weights), dtype=float)
+    if not isinstance(weights, np.ndarray):
+        weights = list(weights)
+    w = np.asarray(weights, dtype=float)
     if w.size and np.any(w < 0.0):
         raise ValidationError(f"negative weight: min is {w.min()!r}")
     total = float(w.sum())
@@ -146,7 +189,7 @@ def make_space(
         raise ValidationError(
             f"unnormalized weights (sum {total!r}); pass normalize=True to rescale"
         )
-    return FiniteProbabilitySpace(ids, tuple(w.tolist()))
+    return FiniteProbabilitySpace(point_ids, w)
 
 
 @dataclass(frozen=True)
@@ -318,9 +361,12 @@ class Partition:
 
         Zero-weight points (label -1) form a leading run that no atom uses.
         """
-        labels = self.atom_index_array
-        counts = np.bincount(labels + 1, minlength=self.n_atoms + 1)
-        return np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1]
+        keys = self.atom_index_array + 1
+        counts = np.bincount(keys, minlength=self.n_atoms + 1)
+        if self.n_atoms < 1 << 16:
+            # the same stable order; numpy sorts 16-bit keys by radix
+            keys = keys.astype(np.uint16)
+        return np.argsort(keys, kind="stable"), np.cumsum(counts)[:-1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):

@@ -243,6 +243,49 @@ class TestExitCodes:
         assert run(["ks", "--system", "markov:[[1,0],[0,1]]", "--nmax", "4"]) == 2
         assert "stationary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ising-z", "--k0", "0", "--k1", "1", "--n", "3"],
+            ["entropy-flow", "--k0", "0.3", "--k1", "-0.7", "--sites", "8",
+             "--levels", "2"],
+            ["ks", "--system", "bernoulli:0.5,0.5", "--nmax", "4"],
+        ],
+    )
+    def test_unwritable_out(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        (tmp_path / "dir").mkdir()
+        for target in (blocker / "x", tmp_path / "dir"):
+            assert run([*argv, "--out", str(target)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot write {target}: ")
+            assert captured.err.count("\n") == 1
+        # no temp sibling is left behind
+        assert sorted(os.listdir(tmp_path)) == ["dir", "file"]
+        assert os.listdir(tmp_path / "dir") == []
+
+    @pytest.mark.parametrize(
+        "spec, entry",
+        [
+            ('markov:[["a",1],[1,0]]', "transition entry [0][0] is not a number: 'a'"),
+            ("markov:[[0.5,null],[1,0]]", "transition entry [0][1] is not a number"),
+            ("markov:[[0.5,[0.5]],[1,0]]", "transition entry [0][1] is not a number"),
+            ("markov:[[0.5,0.5],[1]]", "unequal lengths [2, 1]"),
+        ],
+    )
+    def test_non_numeric_system_spec(self, capsys, spec, entry):
+        assert run(["ks", "--system", spec, "--nmax", "4"]) == 2
+        assert entry in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["ks", "theorem-check"])
+    @pytest.mark.parametrize("system", ["bernoulli:0.5,0.5", "cycle:8"])
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_nonpositive_cap(self, capsys, subcommand, system, cap):
+        assert run([subcommand, "--system", system, "--nmax", "4", "--cap", cap]) == 2
+        assert f"cap must be positive, got {cap}" in capsys.readouterr().err
+
     def test_theorem_check_inconsistency_exit(self, capsys, monkeypatch):
         real = dynamics.theorem_limit_point_check
 
@@ -606,7 +649,10 @@ class TestFlagsAndConfigAgree:
 
 @st.composite
 def accepted_invocations(draw):
-    """Flag sets the parser accepts, with couplings anywhere in |K| <= 300."""
+    """Flag sets the parser accepts, with couplings anywhere in |K| <= 300.
+
+    About half of them also ask for an ``--out`` that cannot be written.
+    """
     coupling = st.floats(min_value=-300.0, max_value=300.0)
     kind = draw(st.sampled_from(["ising-z", "ising-rg", "entropy-flow"]))
     if kind == "ising-z":
@@ -617,14 +663,19 @@ def accepted_invocations(draw):
             argv.append("--log")
         if n <= 12 and draw(st.booleans()):
             argv.append("--check-bruteforce")
-        return argv
-    if kind == "ising-rg":
+    elif kind == "ising-rg":
         v = coupling.map(lambda k: repr(math.exp(-k)))
-        return ["ising-rg", "--v0", draw(v), "--v1", draw(v),
+        argv = ["ising-rg", "--v0", draw(v), "--v1", draw(v),
                 "--steps", str(draw(st.integers(1, 60)))]
-    return ["entropy-flow", "--k0", repr(draw(coupling)), "--k1", repr(draw(coupling)),
-            "--sites", str(draw(st.integers(2, 8))),
-            "--levels", str(draw(st.integers(1, 3)))]
+    else:
+        argv = ["entropy-flow", "--k0", repr(draw(coupling)),
+                "--k1", repr(draw(coupling)),
+                "--sites", str(draw(st.integers(2, 8))),
+                "--levels", str(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        # a path below a device file: no directory can be made there
+        argv += ["--out", os.path.join(os.devnull, "out")]
+    return argv
 
 
 def _reject_constant(name):
@@ -639,5 +690,7 @@ def test_accepted_input_never_exits_1(argv):
             contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
     assert code in (0, 2, 3, 4)
+    if "--out" in argv:
+        assert code in (2, 3)
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -109,6 +109,16 @@ class TestSymbolicSystem:
         # a periodic chain is irreducible: its eigenvalue 1 is simple
         assert SymbolicSystem.markov([[0.0, 1.0], [1.0, 0.0]]).marginal == (0.5, 0.5)
 
+    def test_non_numeric_entries_name_the_entry(self):
+        with pytest.raises(ValidationError, match=r"probability 1 is not a number: 'x'"):
+            SymbolicSystem.bernoulli([0.5, "x"])
+        with pytest.raises(ValidationError, match=r"entry \[1\]\[0\] is not a number"):
+            SymbolicSystem.markov([[0.5, 0.5], [None, 1.0]])
+        with pytest.raises(ValidationError, match=r"stationary entry 0 is not a number"):
+            SymbolicSystem.markov(Q_REFERENCE, stationary=["a", 0.5])
+        with pytest.raises(ValidationError, match="unequal lengths"):
+            SymbolicSystem.markov([[0.5, 0.5], [1.0]])
+
     def test_generating_partition_is_discrete(self):
         b = SymbolicSystem.bernoulli([0.5, 0.5])
         assert generating_partition(b).n_atoms == 2
@@ -204,6 +214,17 @@ class TestInfoRateReport:
         report = info_rate_report(SymbolicSystem.bernoulli([0.5, 0.5]), n_max=16)
         assert report.block_entropies == tuple(float(n) for n in range(1, 17))
         assert report.h_estimate == 1.0
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_must_be_positive(self, cap):
+        space = make_space(list(range(4)), [0.25] * 4)
+        shift = PermutationSystem(space, (1, 2, 3, 0))
+        for system, partition in (
+            (SymbolicSystem.bernoulli([0.5, 0.5]), None),
+            (shift, Partition(space, [[0, 1], [2, 3]])),
+        ):
+            with pytest.raises(ValidationError, match="cap must be positive"):
+                info_rate_report(system, partition, 4, cap=cap)
 
     def test_markov_reference_chain(self):
         report = info_rate_report(SymbolicSystem.markov(Q_REFERENCE), n_max=14)

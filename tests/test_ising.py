@@ -177,6 +177,16 @@ class TestPartitionFunction:
         with pytest.raises(ValidationError):
             partition_function_bruteforce(k, 21)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    def test_bruteforce_keeps_its_float(self, n):
+        # the same float from field and bond sums taken over the spin matrix
+        spins = spin_configurations(n)
+        field = spins.sum(axis=1, dtype=np.int64)
+        bonds = (spins * np.roll(spins, -1, axis=1)).sum(axis=1, dtype=np.int64)
+        for k0, k1 in [(0.0, 0.0), (0.3, -0.7), (-1.2, 0.4), (2.0, 1.5), (0.0, -8.0)]:
+            expected = float(np.exp(k0 * field + k1 * bonds).sum())
+            assert partition_function_bruteforce(CouplingVector(k0, k1), n) == expected
+
     def test_spin_configurations_layout(self):
         configs = spin_configurations(2)
         assert configs.shape == (4, 2)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroflow import (
     DEFAULT_CONFIG_CAP,
@@ -20,7 +22,9 @@ from entroflow import (
     is_coarsening,
     log_partition_function,
     majority_first_site,
+    make_space,
     rg_entropy_flow,
+    spin_configurations,
 )
 
 LN2 = math.log(2.0)
@@ -308,3 +312,177 @@ class TestReversedRefinementFlow:
     def test_matches_forward_flow_reversed(self):
         r = rg_entropy_flow((0.3, 0.2), 8, levels=3)
         assert tuple(reversed(tuple(r.refinement_flow))) == tuple(r.coarse_flow)
+
+
+def pm1_spins(n):
+    """All 2^n configurations as int8 +-1 rows, site j down when bit j is set."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    return (1 - 2 * bits).astype(np.int8)
+
+
+def chained_level_keys(n, block, levels, rule=None):
+    """Level keys from +-1 rows: the rule chained over int8 block variables.
+
+    Without a rule, majority with ties to the block's first site is
+    computed inline; rows are grouped with np.unique.
+    """
+    variables = pm1_spins(n)
+    keys = []
+    for _ in range(levels):
+        blocks = variables.reshape(len(variables), -1, block)
+        if rule is None:
+            totals = blocks.sum(axis=2, dtype=np.int64)
+            variables = np.where(totals != 0, np.sign(totals), blocks[:, :, 0])
+        else:
+            variables = np.stack(
+                [[rule(b[None, :])[0] for b in row] for row in blocks]
+            )
+        variables = variables.astype(np.int8)
+        _, inverse = np.unique(variables, axis=0, return_inverse=True)
+        keys.append(inverse.ravel())
+    return keys
+
+
+def log_sum_exp_weights(k, n):
+    spins = pm1_spins(n).astype(float)
+    exponent = k[0] * spins.sum(axis=1) + k[1] * (spins * np.roll(spins, -1, 1)).sum(1)
+    w = np.exp(exponent - exponent.max())
+    return w / w.sum()
+
+
+def reference_entropy(weights, keys):
+    masses = np.bincount(keys, weights=weights)
+    masses = masses[masses > 0]
+    return float(-(masses * np.log2(masses)).sum())
+
+
+@st.composite
+def block_flows(draw):
+    """(couplings, sites, block size, levels) over every legal level count."""
+    block = draw(st.integers(2, 4))
+    sites = draw(st.sampled_from(range(block, 13, block)))
+    legal = 1
+    while sites % block ** (legal + 1) == 0:
+        legal += 1
+    levels = draw(st.integers(1, legal))
+    coupling = st.floats(min_value=-300.0, max_value=300.0)
+    return (draw(coupling), draw(coupling)), sites, block, levels
+
+
+class TestPackedLevels:
+    @settings(max_examples=40, deadline=None)
+    @given(block_flows())
+    def test_levels_match_pm1_reference(self, flow):
+        k, sites, block, levels = flow
+        r = rg_entropy_flow(k, sites, block, levels)
+        space = r.coarse_flow.space
+        weights = log_sum_exp_weights(k, sites)
+        for level, keys in enumerate(chained_level_keys(sites, block, levels)):
+            reference = Partition._from_labels(space, keys)
+            assert r.coarse_flow[level] == reference
+            assert r.atom_counts[level] == reference.n_atoms
+            assert r.entropies[level] == entropy(reference)
+            assert r.entropies[level] == pytest.approx(
+                reference_entropy(weights, keys), rel=1e-9, abs=1e-9
+            )
+
+    def test_custom_rule_row_by_row(self):
+        def last_site(block):
+            return block[:, -1]
+
+        g = gibbs_space((0.3, -0.6), 8)
+        for spec in (LatticeSpec(site_count=8, block_size=2),
+                     LatticeSpec(site_count=8, block_size=4)):
+            p = induced_config_partition(
+                g, block_site_partition(spec, 0), block_map=last_site
+            )
+            blocks = g.configs.reshape(len(g.configs), -1, spec.block_size)
+            rows = [tuple(last_site(b[None, :])[0] for b in row) for row in blocks]
+            groups = {}
+            keys = [groups.setdefault(row, len(groups)) for row in rows]
+            assert p == Partition._from_labels(g.space, np.array(keys))
+            assert p.n_atoms == 2 ** (8 // spec.block_size)
+
+    def test_custom_rule_chained(self):
+        def last_site(block):
+            return block[:, -1]
+
+        r = rg_entropy_flow((0.2, 0.9), 8, 2, 3, block_map=last_site)
+        for level, keys in enumerate(chained_level_keys(8, 2, 3, rule=last_site)):
+            assert r.coarse_flow[level] == Partition._from_labels(
+                r.coarse_flow.space, keys
+            )
+
+    def test_mixed_block_lengths(self):
+        g = gibbs_space((0.1, 0.4), 6)
+        site = Partition(LatticeSpec(site_count=6).site_space, [[0, 1, 2], [3], [4, 5]])
+        p = induced_config_partition(g, site)
+        spins = g.configs
+        rows = [
+            (majority_first_site(s[None, 0:3])[0], s[3], s[4]) for s in spins
+        ]
+        groups = {}
+        keys = [groups.setdefault(row, len(groups)) for row in rows]
+        assert p == Partition._from_labels(g.space, np.array(keys))
+
+    def test_rule_called_once_on_the_pattern_table(self):
+        seen = []
+
+        def recording(block):
+            seen.append(block.copy())
+            return majority_first_site(block)
+
+        rg_entropy_flow((0.1, 0.2), 9, 3, 2, block_map=recording)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], spin_configurations(3))
+
+    def test_rule_checked_on_every_pattern(self):
+        def almost_majority(block):
+            out = majority_first_site(block)
+            out[np.all(block < 0, axis=1)] = 0  # the all-down pattern only
+            return out
+
+        with pytest.raises(ValidationError, match=r"\+-1"):
+            rg_entropy_flow((0.0, 0.0), 4, 2, 1, block_map=almost_majority)
+
+    def test_rule_shape_checked(self):
+        with pytest.raises(ValidationError, match=r"\+-1 value per row"):
+            rg_entropy_flow((0.0, 0.0), 4, block_map=lambda b: b[:, :1])
+
+
+class TestLazyConfigurationViews:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_point_ids_match_sign_strings(self, n):
+        g = gibbs_space((0.2, -0.3), n)
+        spins = spin_configurations(n)
+        expected = np.where(spins > 0, "+", "-").view(f"<U{n}").ravel().tolist()
+        ids = g.space.point_ids
+        assert len(ids) == 2**n == g.space.size
+        assert list(ids) == expected
+        assert [ids[i] for i in range(len(ids))] == expected
+        assert len(set(ids)) == len(ids)
+        assert ids[-1] == expected[-1] and ids[1:4] == tuple(expected[1:4])
+        with pytest.raises(IndexError):
+            ids[2**n]
+        assert g.space.index_of(expected[5 % 2**n]) == 5 % 2**n
+
+    def test_configs_lazy_and_read_only(self):
+        g = gibbs_space((0.0, 0.0), 5)
+        assert "configs" not in vars(g)
+        assert np.array_equal(g.configs, spin_configurations(5))
+        assert g.configs is g.configs
+        with pytest.raises(ValueError):
+            g.configs[3, 1] = 1
+
+    def test_space_equality_and_hash(self):
+        g = gibbs_space((0.4, 0.1), 4)
+        again = gibbs_space((0.4, 0.1), 4)
+        listed = make_space(tuple(g.space.point_ids), g.space.weight_array)
+        assert g.space == again.space == listed
+        assert listed == g.space
+        assert hash(g.space) == hash(again.space) == hash(listed)
+        assert g.space.weights == listed.weights
+        assert g.space != gibbs_space((0.4, 0.2), 4).space
+        relabelled = make_space(range(16), g.space.weight_array)
+        assert g.space != relabelled
+        assert not g.space.weight_array.flags.writeable

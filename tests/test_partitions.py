@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from entroflow import (
     AtomDistribution,
+    FiniteProbabilitySpace,
     Partition,
     PermutationSystem,
     SpaceMismatchError,
@@ -84,6 +85,39 @@ class TestMakeSpace:
     def test_mismatched_lengths(self):
         with pytest.raises(ValidationError):
             make_space(["a", "b", "c"], [0.5, 0.5])
+
+    def test_array_weights_are_copied_and_read_only(self):
+        raw = np.array([0.25, 0.75])
+        s = make_space(("a", "b"), raw)
+        raw[0] = 0.5
+        assert s.weights == (0.25, 0.75)
+        assert s.weight_array.tolist() == [0.25, 0.75]
+        assert not s.weight_array.flags.writeable
+        assert make_space(iter("ab"), iter([0.25, 0.75])) == s
+
+    @pytest.mark.parametrize(
+        "ids, weights, message",
+        [
+            ((), (), "at least one point"),
+            (("a", "b"), (1.0,), "2 point ids but 1 weights"),
+            (("a", "a"), (0.5, 0.5), "duplicate point ids"),
+            (("a", "b"), (0.5, float("nan")), "weights must be finite"),
+            (("a", "b"), (1.5, -0.5), "negative weight: min is"),
+            (("a", "b"), (0.5, 0.6), "pass normalize=True to make_space"),
+        ],
+    )
+    def test_space_constructor_checks(self, ids, weights, message):
+        with pytest.raises(ValidationError, match=message):
+            FiniteProbabilitySpace(ids, weights)
+
+    def test_equal_spaces_hash_alike(self):
+        a = make_space("ab", [0.25, 0.75])
+        assert a == make_space(("a", "b"), np.array([0.25, 0.75]))
+        assert hash(a) == hash(make_space("ab", [0.25, 0.75]))
+        assert a != make_space("ba", [0.25, 0.75])
+        assert a != make_space("ab", [0.75, 0.25])
+        assert make_space("ab", [1.0, -0.0]) == make_space("ab", [1.0, 0.0])
+        assert hash(make_space("ab", [1.0, -0.0])) == hash(make_space("ab", [1.0, 0.0]))
 
 
 class TestAtomProbabilities:
@@ -458,3 +492,25 @@ def test_validation_messages_name_the_offending_point():
         Partition(s, [])
     # repeats inside one atom and an uncovered zero-weight point are fine
     assert Partition(s, [[0, 0, 1], [2]]).n_atoms == 2
+
+
+@pytest.mark.parametrize("n_atoms", [255, 256, 300, 65535, 65536, 70000])
+def test_atom_masses_for_many_atoms(n_atoms):
+    # label widths around the 8- and 16-bit boundaries of the grouping sort
+    rng = np.random.default_rng(n_atoms)
+    size = 70_001
+    keys = np.concatenate([np.arange(n_atoms), rng.integers(0, n_atoms, size - n_atoms)])
+    raw = rng.uniform(0.0, 1.0, size)
+    raw[rng.integers(n_atoms, size, 50)] = 0.0  # every atom keeps a positive point
+    order = rng.permutation(size)
+    keys, raw = keys[order], raw[order]
+    space = make_space(range(size), raw, normalize=True)
+    p = Partition._from_labels(space, keys)
+    w = space.weight_array
+    positive = w > 0.0
+    _, first = np.unique(keys[positive], return_index=True)
+    kept = keys[positive][np.sort(first)]
+    expected = np.bincount(keys, weights=w, minlength=n_atoms)[kept]
+    assert p.n_atoms == kept.size == n_atoms
+    assert np.allclose(atom_probabilities(p).probabilities, expected, rtol=1e-10, atol=0)
+    assert entropy(p) == pytest.approx(shannon_bits(expected), rel=1e-12)
