@@ -289,6 +289,11 @@ def _flags(subcommand: str) -> dict[str, argparse.Action]:
 
 
 def _load_partition_document(path: str):
+    """Read ``{"space": {"ids": [...], "weights": [...], "normalize": bool},
+    "partitions": [{"name": ..., "atoms": [[id, ...], ...]}, ...]}``.
+
+    An entry of the wrong JSON type is a :class:`ValidationError`.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -302,17 +307,30 @@ def _load_partition_document(path: str):
     if not isinstance(doc, dict) or "space" not in doc:
         raise ValidationError(f"{path}: expected an object with a 'space' entry")
     spec = doc["space"]
-    space = make_space(
-        spec.get("ids", []),
-        spec.get("weights", []),
-        normalize=bool(spec.get("normalize", False)),
-    )
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{path}: 'space' must be an object")
+    ids, weights = spec.get("ids", []), spec.get("weights", [])
+    normalize = spec.get("normalize", False)
+    if not isinstance(ids, list) or not isinstance(weights, list):
+        raise ValidationError(f"{path}: 'ids' and 'weights' must be lists")
+    for i, weight in enumerate(weights):
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise ValidationError(f"{path}: weight {i} is not a number: {weight!r}")
+    if not isinstance(normalize, bool):
+        raise ValidationError(f"{path}: 'normalize' must be true or false")
+    space = make_space(ids, weights, normalize=normalize)
+    entries = doc.get("partitions", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValidationError(f"{path}: 'partitions' must be a list of objects")
     partitions = []
-    for i, entry in enumerate(doc.get("partitions", [])):
+    for i, entry in enumerate(entries):
         name = str(entry.get("name", f"P{i}"))
         if "atoms" not in entry:
             raise ValidationError(f"partition {name!r} has no atoms")
-        partitions.append((name, Partition.from_point_ids(space, entry["atoms"])))
+        atoms = entry["atoms"]
+        if not isinstance(atoms, list) or not all(isinstance(a, list) for a in atoms):
+            raise ValidationError(f"partition {name!r}: 'atoms' must be a list of lists")
+        partitions.append((name, Partition.from_point_ids(space, atoms)))
     if not partitions:
         raise ValidationError(f"{path}: no partitions given")
     return space, partitions

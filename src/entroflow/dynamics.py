@@ -7,7 +7,9 @@ at most as many steps as there are points. A :class:`SymbolicSystem` is
 the left shift with a Bernoulli or stationary Markov measure; there the
 n-th join of the generating partition is the exact distribution over
 length-n cylinder words, computed by recursion over words (never by
-sampling) under a hard word-count cap.
+sampling) under a hard word-count cap. One join generator serves both
+kinds: it yields the n-fold joins in order, and the block entropies, the
+single n-fold join and the generating-map check all read from it.
 
 The information production rate h(P, T) is estimated from the exact block
 entropies H_n as the last increment H_n - H_{n-1}. For stationary product
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -222,6 +224,8 @@ def _number(value: object, what: str) -> float:
 def _stationary_vector(q: np.ndarray) -> np.ndarray:
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValidationError(f"transition matrix must be square, got shape {q.shape}")
+    if not np.all(np.isfinite(q)):
+        raise ValidationError("transition entries must be finite")
     eigvals, eigvecs = np.linalg.eig(q.T)
     near_one = np.abs(eigvals - 1.0) <= 1e-8
     if not near_one.any():
@@ -272,7 +276,7 @@ def pullback_partition(system: PermutationSystem, partition: Partition) -> Parti
     Preserves atom probabilities because the permutation preserves
     weights.
     """
-    if partition.space is not system.space and partition.space != system.space:
+    if partition.space != system.space:
         raise ValidationError("partition does not live on the system's space")
     return Partition._from_labels(
         system.space, partition.atom_index_array[system._mapping_array]
@@ -334,100 +338,69 @@ def _check_cap(entries: int, cap: int) -> None:
         )
 
 
-class _WordEngine:
-    """Exact block-entropy recursion for a symbolic system.
-
-    Maintains either the plain word distribution (identity labelling) or
-    a table over (reduced word, current symbol) for a lumped alphabet.
-    Both paths enumerate exactly; neither samples.
-    """
-
-    def __init__(self, system: SymbolicSystem, labels: np.ndarray, cap: int):
-        self.system = system
-        self.labels = labels
-        self.cap = _positive_cap(cap)
-        self.m = system.alphabet_size
-        self.groups = int(labels.max()) + 1
-        self.identity = self.groups == self.m and bool(
-            np.all(labels == np.arange(self.m))
-        )
-        p = np.asarray(system.marginal, dtype=float)
-        if system.transition is None:
-            self.step_matrix = np.tile(p, (self.m, 1))
-        else:
-            self.step_matrix = np.asarray(system.transition, dtype=float)
-        self.n = 1
-        if self.identity:
-            _check_cap(self.m, self.cap)
-            self.vec = p.copy()
-        else:
-            _check_cap(self.groups * self.m, self.cap)
-            table = np.zeros((self.groups, self.m))
-            table[self.labels, np.arange(self.m)] = p
-            self.table = table
-
-    def block_entropy(self) -> float:
-        if self.identity:
-            return shannon_bits(self.vec)
-        return shannon_bits(self.table.sum(axis=1))
-
-    def word_probabilities(self) -> np.ndarray:
-        if self.identity:
-            return self.vec.copy()
-        return self.table.sum(axis=1)
-
-    def extend(self) -> None:
-        """Grow every word by one symbol."""
-        if self.identity:
-            _check_cap(self.vec.size * self.m, self.cap)
-            last = np.arange(self.vec.size) % self.m
-            self.vec = (self.vec[:, None] * self.step_matrix[last]).reshape(-1)
-        else:
-            rows = self.table.shape[0]
-            _check_cap(rows * self.groups * self.m, self.cap)
-            grown = self.table @ self.step_matrix
-            table = np.zeros((rows * self.groups, self.m))
-            for g in range(self.groups):
-                cols = np.flatnonzero(self.labels == g)
-                block = table[g :: self.groups]
-                block[:, cols] = grown[:, cols]
-            self.table = table
-        self.n += 1
-
-
-def _block_entropies_symbolic(
-    system: SymbolicSystem,
+def _joins(
+    system: PermutationSystem | SymbolicSystem,
     partition: Partition | None,
     n_max: int,
     cap: int,
-) -> list[float]:
+) -> Iterator[Partition | np.ndarray]:
+    """The n-fold joins join_{k<n} T^{-k}P for n = 1..n_max, at least n = 1.
+
+    A permutation system yields each join as a :class:`Partition` and
+    fails once one has more than ``cap`` atoms. A symbolic system yields
+    the exact probability vector of the length-n words reduced through the
+    symbol partition (the generating partition when ``partition`` is
+    None), and fails before it would hold more than ``cap`` entries. The
+    generating partition grows the word vector itself; a lumped alphabet
+    grows a table over (reduced word, current symbol), since the next
+    symbol's law depends on the current symbol and not on its group. The
+    inputs are checked on the first ``next``, before anything is yielded.
+    """
+    if isinstance(system, PermutationSystem):
+        if partition is None:
+            raise ValidationError("a permutation system needs an explicit partition")
+        cap = _positive_cap(cap)
+        if partition.space != system.space:
+            raise ValidationError("partition does not live on the system's space")
+        joined = pulled = partition
+        yield joined
+        for _ in range(1, n_max):
+            pulled = pullback_partition(system, pulled)
+            joined = join(joined, pulled)
+            _check_cap(joined.n_atoms, cap)
+            yield joined
+        return
     labels = _symbol_labels(system, partition)
-    engine = _WordEngine(system, labels, cap)
-    values = [engine.block_entropy()]
-    for _ in range(1, n_max):
-        engine.extend()
-        values.append(engine.block_entropy())
-    return values
-
-
-def _join_flow_permutation(
-    system: PermutationSystem,
-    partition: Partition,
-    n_max: int,
-    cap: int,
-) -> list[Partition]:
-    """Materialize join(P, T^{-1}P, ..., T^{-(n-1)}P) for n = 1..n_max."""
     cap = _positive_cap(cap)
-    if partition.space is not system.space and partition.space != system.space:
-        raise ValidationError("partition does not live on the system's space")
-    joins = [partition]
-    pulled = partition
+    m = system.alphabet_size
+    groups = int(labels.max()) + 1
+    symbols = np.arange(m)
+    p = np.asarray(system.marginal, dtype=float)
+    if system.transition is None:
+        step = np.tile(p, (m, 1))
+    else:
+        step = np.asarray(system.transition, dtype=float)
+    if np.array_equal(labels, symbols):
+        _check_cap(m, cap)
+        words = p
+        yield words
+        for _ in range(1, n_max):
+            _check_cap(words.size * m, cap)
+            # inline: a named index array would stay alive in this generator
+            # while the caller measures the words
+            words = (words[:, None] * step[np.arange(words.size) % m]).reshape(-1)
+            yield words
+        return
+    _check_cap(groups * m, cap)
+    table = np.zeros((groups, m))
+    table[labels, symbols] = p
+    yield table.sum(axis=1)
     for _ in range(1, n_max):
-        pulled = pullback_partition(system, pulled)
-        current = join(joins[-1], pulled)
-        _check_cap(current.n_atoms, cap)
-        joins.append(current)
-    return joins
+        _check_cap(table.shape[0] * groups * m, cap)
+        grown = np.zeros((table.shape[0], groups, m))
+        grown[:, labels, symbols] = table @ step
+        table = grown.reshape(-1, m)
+        yield table.sum(axis=1)
 
 
 def iterated_join(
@@ -446,19 +419,16 @@ def iterated_join(
     """
     if n < 1:
         raise ValidationError(f"n must be at least 1, got {n}")
+    for joined in _joins(system, partition, n, cap):
+        pass
     if isinstance(system, PermutationSystem):
-        if partition is None:
-            raise ValidationError("a permutation system needs an explicit partition")
-        return _join_flow_permutation(system, partition, n, cap)[-1]
+        return joined
     labels = _symbol_labels(system, partition)
-    engine = _WordEngine(system, labels, cap)
-    for _ in range(1, n):
-        engine.extend()
     return CylinderDistribution(
         word_length=n,
-        group_count=engine.groups,
-        labels=tuple(int(x) for x in labels),
-        probabilities=engine.word_probabilities(),
+        group_count=int(labels.max()) + 1,
+        labels=tuple(labels.tolist()),
+        probabilities=joined,
     )
 
 
@@ -482,37 +452,6 @@ class InfoRateReport:
     tolerance: float
 
 
-def _report_from_entropies(values: Sequence[float], tol: float) -> InfoRateReport:
-    h = tuple(float(x) for x in values)
-    n_max = len(h)
-    rates = tuple(h[k] / (k + 1) for k in range(n_max))
-    increments = tuple(h[k] - h[k - 1] for k in range(1, n_max))
-    tail = increments[-3:]
-    converged = bool(tail) and (max(tail) - min(tail)) < tol
-    return InfoRateReport(
-        n_max=n_max,
-        block_entropies=h,
-        rates=rates,
-        increments=increments,
-        h_estimate=increments[-1],
-        converged=converged,
-        tolerance=tol,
-    )
-
-
-def _block_entropy_sequence(
-    system: PermutationSystem | SymbolicSystem,
-    partition: Partition | None,
-    n_max: int,
-    cap: int,
-) -> list[float]:
-    if isinstance(system, PermutationSystem):
-        if partition is None:
-            raise ValidationError("a permutation system needs an explicit partition")
-        return [entropy(p) for p in _join_flow_permutation(system, partition, n_max, cap)]
-    return _block_entropies_symbolic(system, partition, n_max, cap)
-
-
 def info_rate_report(
     system: PermutationSystem | SymbolicSystem,
     partition: Partition | None = None,
@@ -533,8 +472,19 @@ def info_rate_report(
     """
     if n_max < 2:
         raise ValidationError(f"n_max must be at least 2, got {n_max}")
-    values = _block_entropy_sequence(system, partition, n_max, cap)
-    return _report_from_entropies(values, tol)
+    measure = entropy if isinstance(system, PermutationSystem) else shannon_bits
+    h = tuple(measure(joined) for joined in _joins(system, partition, n_max, cap))
+    increments = tuple(b - a for a, b in zip(h, h[1:]))
+    tail = increments[-3:]
+    return InfoRateReport(
+        n_max=len(h),
+        block_entropies=h,
+        rates=tuple(x / (k + 1) for k, x in enumerate(h)),
+        increments=increments,
+        h_estimate=increments[-1],
+        converged=(max(tail) - min(tail)) < tol,
+        tolerance=tol,
+    )
 
 
 def ks_entropy_family(
@@ -542,7 +492,6 @@ def ks_entropy_family(
     family: Sequence[Partition],
     n_max: int = 16,
     *,
-    tol: float = 1e-6,
     cap: int = DEFAULT_WORD_CAP,
 ) -> float:
     """Largest rate estimate over a finite family of partitions.
@@ -552,10 +501,7 @@ def ks_entropy_family(
     """
     if not family:
         raise ValidationError("the partition family must not be empty")
-    return max(
-        info_rate_report(system, p, n_max, tol=tol, cap=cap).h_estimate
-        for p in family
-    )
+    return max(info_rate_report(system, p, n_max, cap=cap).h_estimate for p in family)
 
 
 def is_chaotic(
@@ -638,17 +584,15 @@ def verify_generating_map(
         if ref_flow is None:
             raise ValidationError("a permutation system needs an explicit flow")
         limit = len(ref_flow) if n_max is None else min(n_max, len(ref_flow))
-        joins = _join_flow_permutation(system, ref_flow[0], limit, cap)
-        return all(joins[n - 1] == ref_flow[n - 1] for n in range(1, limit + 1))
-    limit = 8 if n_max is None else n_max
-    engine = _WordEngine(system, _symbol_labels(system, None), cap)
-    previous = engine.word_probabilities()
-    for _ in range(1, limit):
-        engine.extend()
-        current = engine.word_probabilities()
-        marginal = current.reshape(-1, system.alphabet_size).sum(axis=1)
-        if float(np.abs(marginal - previous).max()) > tol:
-            return False
+        # every join is built, so the cap is enforced past a first mismatch
+        joins = _joins(system, ref_flow[0], limit, cap)
+        return all([joined == ref_flow[n] for n, joined in enumerate(joins)])
+    previous = None
+    for current in _joins(system, None, 8 if n_max is None else n_max, cap):
+        if previous is not None:
+            marginal = current.reshape(-1, system.alphabet_size).sum(axis=1)
+            if float(np.abs(marginal - previous).max()) > tol:
+                return False
         previous = current
     return True
 

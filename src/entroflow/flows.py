@@ -69,7 +69,7 @@ class PartitionFlow:
         if not self.sequence:
             raise ValidationError("a flow needs at least one partition")
         for p in self.sequence:
-            if p.space is not self.space and p.space != self.space:
+            if p.space != self.space:
                 raise SpaceMismatchError("flow members must share the flow's space")
         for n in range(len(self.sequence) - 1):
             if self.direction == COARSE_GRAINING:

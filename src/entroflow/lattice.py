@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ResourceCapError, ValidationError
 from .flows import LimitPointVerdict, PartitionFlow, detect_limit_point, reverse
-from .ising import CouplingVector, _field_and_bond_sums, spin_configurations
+from .ising import CouplingVector, _as_coupling, _field_and_bond_sums, spin_configurations
 from .partitions import FiniteProbabilitySpace, Partition, entropy, make_space
 
 __all__ = [
@@ -227,7 +227,7 @@ def gibbs_space(
     ``log_partition_function`` to 1e-10, which is checked by the test
     suite rather than on every construction.
     """
-    kk = k if isinstance(k, CouplingVector) else CouplingVector(*map(float, k))
+    kk = _as_coupling(k)
     n = int(n_sites)
     if n < 2:
         raise ValidationError(f"need at least 2 sites, got {n_sites}")

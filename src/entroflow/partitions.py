@@ -16,6 +16,7 @@ partitions is equality of their traces on the positive-weight support.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
@@ -57,6 +58,30 @@ def shannon_bits(probabilities: Iterable[float] | np.ndarray) -> float:
     return float(-(pos * np.log2(pos)).sum()) + 0.0
 
 
+def _weight_vector(weights: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The weights as a new flat float64 array, or a :class:`ValidationError`."""
+    try:
+        w = np.array(weights, dtype=float)
+    except (TypeError, ValueError):
+        w = None
+    if w is None or w.ndim != 1:
+        raise ValidationError("weights must be a flat sequence of numbers")
+    return w
+
+
+def _count_distinct(point_ids: Sequence[Hashable]) -> int:
+    """Count of distinct labels; a :class:`ValidationError` names an unhashable one."""
+    try:
+        return len(set(point_ids))
+    except TypeError:
+        for pid in point_ids:
+            try:
+                hash(pid)
+            except TypeError:
+                raise ValidationError(f"point id {pid!r} is not hashable") from None
+        raise
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteProbabilitySpace:
     """A finite set of labelled points with weights summing to one.
@@ -96,17 +121,17 @@ class FiniteProbabilitySpace:
         weights: Sequence[float] | np.ndarray,
         distinct: bool,
     ) -> None:
-        w = np.array(weights, dtype=float)
+        w = _weight_vector(weights)
         if len(point_ids) == 0:
             raise ValidationError("a probability space needs at least one point")
         if len(point_ids) != len(w):
             raise ValidationError(f"{len(point_ids)} point ids but {len(w)} weights")
-        if not distinct and len(set(point_ids)) != len(point_ids):
+        if not distinct and _count_distinct(point_ids) != len(point_ids):
             raise ValidationError("duplicate point ids")
         if not np.all(np.isfinite(w)):
             raise ValidationError("weights must be finite")
         if np.any(w < 0.0):
-            raise ValidationError(f"negative weight: min is {w.min()!r}")
+            raise ValidationError(f"negative weight: min is {float(w.min())!r}")
         total = float(w.sum())
         if abs(total - 1.0) > DEFAULT_TOLERANCE:
             raise ValidationError(
@@ -133,7 +158,7 @@ class FiniteProbabilitySpace:
         """Index of a point label, raising on unknown labels."""
         try:
             return self._index_by_id[point_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: unhashable, so no point's id
             raise ValidationError(f"unknown point id {point_id!r}") from None
 
     def __eq__(self, other: object) -> bool:
@@ -159,33 +184,32 @@ def make_space(
     weights: Iterable[float] | np.ndarray,
     *,
     normalize: bool = False,
-    tol: float = DEFAULT_TOLERANCE,
 ) -> FiniteProbabilitySpace:
     """Build a finite probability space from labels and weights.
 
     Args:
         point_ids: distinct hashable labels, one per point.
         weights: nonnegative weights, an array or any iterable of numbers.
-            Must sum to 1 within ``tol`` unless ``normalize`` is set, in
-            which case they are rescaled.
+            Must sum to 1 within ``DEFAULT_TOLERANCE`` unless ``normalize``
+            is set, in which case they are rescaled.
         normalize: rescale the weights to total mass one.
-        tol: absolute tolerance on the normalization check.
 
     Raises:
-        ValidationError: on duplicate ids, negative weights, zero total
-            mass, or an unnormalized vector when ``normalize`` is false.
+        ValidationError: on duplicate or unhashable ids, weights that are
+            not numbers, negative weights, zero total mass, or an
+            unnormalized vector when ``normalize`` is false.
     """
     if not isinstance(weights, np.ndarray):
         weights = list(weights)
-    w = np.asarray(weights, dtype=float)
+    w = _weight_vector(weights)
     if w.size and np.any(w < 0.0):
-        raise ValidationError(f"negative weight: min is {w.min()!r}")
+        raise ValidationError(f"negative weight: min is {float(w.min())!r}")
     total = float(w.sum())
     if normalize:
         if total <= 0.0:
             raise ValidationError("zero total mass, cannot normalize")
         w = w / total
-    elif w.size and abs(total - 1.0) > tol:
+    elif w.size and abs(total - 1.0) > DEFAULT_TOLERANCE:
         raise ValidationError(
             f"unnormalized weights (sum {total!r}); pass normalize=True to rescale"
         )
@@ -203,7 +227,9 @@ class AtomDistribution:
         if p.size == 0:
             raise ValidationError("empty atom distribution")
         if np.any(p < 0.0):
-            raise ValidationError(f"negative atom probability: min is {p.min()!r}")
+            raise ValidationError(
+                f"negative atom probability: min is {float(p.min())!r}"
+            )
         total = float(p.sum())
         if abs(total - 1.0) > DEFAULT_TOLERANCE:
             raise ValidationError(f"atom probabilities sum to {total!r}, not 1")
@@ -245,6 +271,27 @@ def _canonical_labels(weights: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray
     return labels, int(opened.size)
 
 
+def _point_indices(atom: Iterable[int]) -> list[int]:
+    """One atom's point indices as ints; a bool or a non-integer is refused."""
+    try:
+        entries = list(atom)
+    except TypeError:
+        raise ValidationError(f"atom {atom!r} is not a list of point indices") from None
+    try:
+        if bool not in map(type, entries):
+            return list(map(operator.index, entries))
+    except TypeError:
+        pass
+    for entry in entries:
+        if isinstance(entry, bool):
+            break
+        try:
+            operator.index(entry)
+        except TypeError:
+            break
+    raise ValidationError(f"point index {entry!r} is not an integer")
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """A partition of a finite probability space into disjoint atoms.
@@ -268,7 +315,12 @@ class Partition:
     ) -> None:
         """Validate atoms (nonempty, disjoint, covering every positive-weight point)."""
         n = space.size
-        raw = [list(map(int, atom)) for atom in atoms]
+        try:
+            raw = [_point_indices(atom) for atom in atoms]
+        except TypeError:
+            raise ValidationError(
+                f"atoms must be a sequence of index lists, got {atoms!r}"
+            ) from None
         if not raw:
             raise ValidationError("a partition needs at least one atom")
         sizes = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
@@ -371,7 +423,7 @@ class Partition:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return (self.space is other.space or self.space == other.space) and bool(
+        return self.space == other.space and bool(
             np.array_equal(self.atom_index_array, other.atom_index_array)
         )
 
@@ -380,7 +432,7 @@ class Partition:
 
 
 def _require_same_space(a: Partition, b: Partition, what: str) -> None:
-    if a.space is not b.space and a.space != b.space:
+    if a.space != b.space:
         raise SpaceMismatchError(f"{what} requires partitions of the same space")
 
 

@@ -280,6 +280,36 @@ class TestExitCodes:
         assert entry in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["ks", "theorem-check"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--partition", '[[0,1],[2,"x"]]'], "point index 'x' is not an integer"),
+            (["--partition", "5"], "atoms must be a sequence of index lists, got 5"),
+            (["--partition", "[[0],[1,null]]"], "point index None is not an integer"),
+            (["--partition", "[[0,1],[2,3.5]]"], "point index 3.5 is not an integer"),
+            (["--partition", '[["0",true],[2,"3"]]'],
+             "point index '0' is not an integer"),
+            (["--partition", "[[0,true],[2,3]]"], "point index True is not an integer"),
+        ],
+    )
+    def test_partition_indices_must_be_integers(self, capsys, subcommand, extra, message):
+        assert run([subcommand, "--system", "cycle:4", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("subcommand", ["ks", "theorem-check"])
+    @pytest.mark.parametrize(
+        "spec", ["markov:[[NaN,1],[1,0]]", "markov:[[Infinity,0],[0,1]]",
+                 "markov:[[0.5,0.5],[-Infinity,1]]"],
+    )
+    def test_non_finite_markov_spec(self, capsys, subcommand, spec):
+        assert run([subcommand, "--system", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: transition entries must be finite\n"
+
+    @pytest.mark.parametrize("subcommand", ["ks", "theorem-check"])
     @pytest.mark.parametrize("system", ["bernoulli:0.5,0.5", "cycle:8"])
     @pytest.mark.parametrize("cap", ["-1", "0"])
     def test_nonpositive_cap(self, capsys, subcommand, system, cap):
@@ -354,6 +384,54 @@ class TestPartitionCommand:
         doc = {"space": {"ids": ["a"], "weights": [1.0]}, "partitions": []}
         assert run(["partition", "--input", write_doc(tmp_path, doc)]) == 2
         assert "no partitions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "space, partitions, message",
+        [
+            ({"ids": [[1], [2]], "weights": [0.5, 0.5]}, None,
+             "point id [1] is not hashable"),
+            ({"ids": ["a", "b"], "weights": [0.5, "x"]}, None,
+             "{path}: weight 1 is not a number: 'x'"),
+            ({"ids": ["a", "b"], "weights": ["0.5", "0.5"]}, None,
+             "{path}: weight 0 is not a number: '0.5'"),
+            ({"ids": ["a", "b"], "weights": [[0.5], [0.5]]}, None,
+             "{path}: weight 0 is not a number: [0.5]"),
+            ({"ids": ["a", "b"], "weights": {"a": 1}}, None,
+             "{path}: 'ids' and 'weights' must be lists"),
+            ({"ids": "ab", "weights": [0.5, 0.5]}, None,
+             "{path}: 'ids' and 'weights' must be lists"),
+            ([1], None, "{path}: 'space' must be an object"),
+            ({"ids": ["a", "b"], "weights": [1, 1], "normalize": "no"}, None,
+             "{path}: 'normalize' must be true or false"),
+            (None, [3], "{path}: 'partitions' must be a list of objects"),
+            (None, {"x": 1}, "{path}: 'partitions' must be a list of objects"),
+            (None, [{"name": "p", "atoms": 5}],
+             "partition 'p': 'atoms' must be a list of lists"),
+            (None, [{"name": "p", "atoms": ["ab"]}],
+             "partition 'p': 'atoms' must be a list of lists"),
+            (None, [{"atoms": [[["a"]], ["b"]]}], "unknown point id ['a']"),
+        ],
+    )
+    def test_malformed_document_exits_2(
+        self, tmp_path, capsys, space, partitions, message
+    ):
+        doc = json.loads(json.dumps(SAMPLE_DOC))
+        if space is not None:
+            doc["space"] = space
+        if partitions is not None:
+            doc["partitions"] = partitions
+        path = write_doc(tmp_path, doc)
+        assert run(["partition", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(path=path)}\n"
+
+    def test_normalize_true_rescales(self, tmp_path, capsys):
+        doc = {"space": {"ids": ["a", "b"], "weights": [1, 3], "normalize": True},
+               "partitions": [{"name": "p", "atoms": [["a"], ["b"]]}]}
+        assert run(["partition", "--input", write_doc(tmp_path, doc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["space"]["weights"] == [0.25, 0.75]
 
 
 class TestEntropyFlowCommand:
@@ -694,3 +772,107 @@ def test_accepted_input_never_exits_1(argv):
         assert code in (2, 3)
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def partition_documents(draw):
+    """Arbitrary JSON, or a valid document with one entry swapped for arbitrary JSON."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    doc = json.loads(json.dumps(SAMPLE_DOC))
+    path = draw(st.sampled_from([
+        ("space",), ("space", "ids"), ("space", "ids", 0), ("space", "weights"),
+        ("space", "weights", 1), ("space", "normalize"), ("partitions",),
+        ("partitions", 0), ("partitions", 0, "name"), ("partitions", 0, "atoms"),
+        ("partitions", 0, "atoms", 1), ("partitions", 1, "atoms", 0, 0),
+    ]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(json_values)
+    return doc
+
+
+def _run_captured(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_documented_exit(code, out, err):
+    """Exit 0 with finite JSON on stdout, 2 or 3 with one error line only, or 4."""
+    assert code in (0, 2, 3, 4)
+    if code in (2, 3):
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if code == 0:
+        json.loads(out.splitlines()[-1], parse_constant=_reject_constant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(partition_documents())
+def test_partition_document_never_exits_1(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(json.dumps(doc))
+    _assert_documented_exit(*_run_captured(["partition", "--input", str(path)]))
+
+
+number_texts = st.sampled_from(["0.5", "0.25", "1", "0", "-0.5", "nan", "inf", "1e400",
+                                "NaN", "Infinity", "-Infinity", "", "x", "1e-320"])
+
+
+@st.composite
+def system_specs(draw):
+    """Spec text near each accepted form, with non-finite numbers, or arbitrary."""
+    form = draw(st.sampled_from(["bernoulli", "markov", "markov json", "cycle", "text"]))
+    if form == "bernoulli":
+        entries = draw(st.lists(number_texts, min_size=1, max_size=4))
+        return "bernoulli:" + ",".join(entries)
+    if form == "markov":
+        m = draw(st.integers(1, 3))
+        rows = [",".join(draw(st.lists(number_texts, min_size=m, max_size=m)))
+                for _ in range(m)]
+        return "markov:[" + ",".join(f"[{row}]" for row in rows) + "]"
+    if form == "markov json":
+        return "markov:" + json.dumps(draw(json_values))
+    if form == "cycle":
+        return f"cycle:{draw(st.integers(-2, 40))}"
+    # no cycle here: its size is only bounded by memory
+    return draw(st.text(max_size=12).filter(
+        lambda t: t.partition(":")[0].strip().lower() != "cycle"))
+
+
+@st.composite
+def partition_texts(draw):
+    """``--partition`` text: none, index lists with stray entries, any JSON or text."""
+    form = draw(st.sampled_from(["none", "indices", "json", "text"]))
+    if form == "none":
+        return None
+    if form == "indices":
+        entry = st.integers(-1, 5) | st.sampled_from([0.0, 1.5, True, None, "1", [0]])
+        return json.dumps(draw(st.lists(st.lists(entry, max_size=4), max_size=4)))
+    if form == "json":
+        return json.dumps(draw(json_values))
+    return draw(st.text(max_size=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["ks", "theorem-check"]), system_specs(), partition_texts(),
+       st.integers(1, 6), st.sampled_from([None, "-1", "3", "64"]))
+def test_system_and_partition_text_never_exit_1(subcommand, spec, partition, nmax, cap):
+    argv = [subcommand, "--system", spec, "--nmax", str(nmax)]
+    if partition is not None:
+        argv += ["--partition", partition]
+    if cap is not None:
+        argv += ["--cap", cap]
+    _assert_documented_exit(*_run_captured(argv))

@@ -414,6 +414,88 @@ def test_bernoulli_rate_matches_shannon_exactly(p):
     assert abs(report.h_estimate - shannon_bits([p, 1.0 - p])) < 1e-10
 
 
+def _distribution(draw, size):
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size)))
+    return raw / raw.sum()
+
+
+@st.composite
+def shifts_with_symbol_partitions(draw):
+    """A shift with m <= 4 symbols, a partition of its alphabet and n <= 7.
+
+    The partition is the generating one (None), singletons in a drawn
+    order, or two drawn groups. A Markov shift may get a transient last
+    symbol, of stationary weight zero, which the partition then leaves out.
+    """
+    m = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        system = SymbolicSystem.bernoulli(_distribution(draw, m).tolist())
+    elif draw(st.booleans()):
+        system = SymbolicSystem.markov([_distribution(draw, m) for _ in range(m)])
+    else:
+        # states below m - 1 never enter m - 1; m - 1 leaves with positive rate
+        closed = [_distribution(draw, m - 1) for _ in range(m - 1)]
+        pi = SymbolicSystem.markov(closed).marginal if m > 2 else (1.0,)
+        q = [list(row) + [0.0] for row in closed] + [_distribution(draw, m).tolist()]
+        system = SymbolicSystem((*pi, 0.0), tuple(tuple(row) for row in q))
+    symbols = [s for s in range(m) if system.marginal[s] > 0.0]
+    kind = draw(st.sampled_from(["generating", "singletons", "two groups"]))
+    if kind == "generating" and len(symbols) == m:
+        atoms = None
+    elif kind == "two groups" and len(symbols) > 1:
+        first = draw(
+            st.sets(st.sampled_from(symbols), min_size=1, max_size=len(symbols) - 1)
+        )
+        atoms = [sorted(first), sorted(set(symbols) - first)]
+    else:
+        atoms = [[s] for s in draw(st.permutations(symbols))]
+    return system, atoms, draw(st.integers(1, 7))
+
+
+def _brute_force_reduced_words(system, atoms, n):
+    """P(reduced word) for all length-n words, by enumerating the m^n words."""
+    m = system.alphabet_size
+    if atoms is None:
+        group, count = np.arange(m), m
+    else:
+        # atoms numbered by their smallest symbol; symbols left out never occur
+        group = np.zeros(m, dtype=np.int64)
+        for rank, atom in enumerate(sorted(atoms, key=min)):
+            group[atom] = rank
+        count = len(atoms)
+    p = np.array(system.marginal)
+    q = np.tile(p, (m, 1)) if system.transition is None else np.array(system.transition)
+    index = np.arange(m**n)
+    digits = [(index // m ** (n - 1 - k)) % m for k in range(n)]
+    probability = p[digits[0]]
+    reduced = group[digits[0]]
+    for before, after in zip(digits, digits[1:]):
+        probability = probability * q[before, after]
+        reduced = reduced * count + group[after]
+    return np.bincount(reduced, weights=probability, minlength=count**n)
+
+
+def _entropy_bits(probabilities):
+    positive = probabilities[probabilities > 0.0]
+    return float(-(positive * np.log2(positive)).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifts_with_symbol_partitions())
+def test_word_joins_match_brute_force(case):
+    system, atoms, n = case
+    partition = None if atoms is None else Partition(system.symbol_space, atoms)
+    words = iterated_join(system, partition, n)
+    expected = _brute_force_reduced_words(system, atoms, n)
+    assert words.probabilities.shape == expected.shape
+    assert np.abs(words.probabilities - expected).max() <= 1e-12
+    if n >= 2:
+        report = info_rate_report(system, partition, n)
+        brute = [_entropy_bits(_brute_force_reduced_words(system, atoms, k))
+                 for k in range(1, n + 1)]
+        assert np.abs(np.array(report.block_entropies) - brute).max() <= 1e-12
+
+
 class TestParseSystemSpec:
     @pytest.mark.parametrize(
         "text,kind",

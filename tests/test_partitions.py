@@ -494,6 +494,66 @@ def test_validation_messages_name_the_offending_point():
     assert Partition(s, [[0, 0, 1], [2]]).n_atoms == 2
 
 
+@pytest.mark.parametrize(
+    "atoms, message",
+    [
+        ([[0, 1], [2, "x"]], "point index 'x' is not an integer"),
+        ([[0, 1], [2, 3.5]], "point index 3.5 is not an integer"),
+        ([[0, 1], [2, 3.0]], "point index 3.0 is not an integer"),
+        ([["0", 1], [2, 3]], "point index '0' is not an integer"),
+        ([[0, True], [2, 3]], "point index True is not an integer"),
+        ([[0, np.True_], [2, 3]], "point index np.True_ is not an integer"),
+        ([[0], [1, None], [2, 3]], "point index None is not an integer"),
+        ([[0, 1], 2], "atom 2 is not a list of point indices"),
+        (5, "atoms must be a sequence of index lists, got 5"),
+    ],
+)
+def test_point_indices_must_be_integers(atoms, message):
+    with pytest.raises(ValidationError) as excinfo:
+        Partition(uniform_space(4), atoms)
+    assert str(excinfo.value) == message
+
+
+def test_integer_likes_are_point_indices():
+    s = uniform_space(4)
+    expected = Partition(s, [[0, 1], [2, 3]])
+    assert Partition(s, [np.array([0, 1]), range(2, 4)]) == expected
+    assert Partition(s, ((np.int32(0), 1), iter([np.uint8(2), 3]))) == expected
+
+
+NOT_FLAT = "weights must be a flat sequence of numbers"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_space("ab", [1.5, -0.5]), "negative weight: min is -0.5"),
+        (lambda: FiniteProbabilitySpace("ab", [1.5, -0.5]),
+         "negative weight: min is -0.5"),
+        (lambda: FiniteProbabilitySpace("ab", np.array([1.25, -0.25], dtype=np.float32)),
+         "negative weight: min is -0.25"),
+        (lambda: AtomDistribution((1.25, -0.25)),
+         "negative atom probability: min is -0.25"),
+        (lambda: make_space([[1], [2]], [0.5, 0.5]), "point id [1] is not hashable"),
+        (lambda: FiniteProbabilitySpace(["a", {}], [0.5, 0.5]),
+         "point id {} is not hashable"),
+        (lambda: make_space("ab", [0.5, "x"]), NOT_FLAT),
+        (lambda: make_space("ab", [[0.5], [0.5]]), NOT_FLAT),
+        (lambda: FiniteProbabilitySpace("ab", 1.0), NOT_FLAT),
+    ],
+)
+def test_space_messages_print_plain_values(build, message):
+    with pytest.raises(ValidationError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_unhashable_point_id_is_unknown():
+    s = make_space("ab", [0.5, 0.5])
+    with pytest.raises(ValidationError, match=r"unknown point id \['a'\]"):
+        Partition.from_point_ids(s, [[["a"]], ["b"]])
+
+
 @pytest.mark.parametrize("n_atoms", [255, 256, 300, 65535, 65536, 70000])
 def test_atom_masses_for_many_atoms(n_atoms):
     # label widths around the 8- and 16-bit boundaries of the grouping sort
