@@ -97,10 +97,10 @@ def _json(value) -> str:
     return json.dumps(_jsonable(value), sort_keys=True)
 
 
-def emit_record(record: dict, stream=None) -> str:
+def emit_record(record: dict) -> str:
     """Serialize a structured record with stable key order and print it."""
     text = _json(record)
-    print(text, file=stream if stream is not None else sys.stdout)
+    print(text)
     return text
 
 
@@ -292,7 +292,9 @@ def _load_partition_document(path: str):
     """Read ``{"space": {"ids": [...], "weights": [...], "normalize": bool},
     "partitions": [{"name": ..., "atoms": [[id, ...], ...]}, ...]}``.
 
-    An entry of the wrong JSON type is a :class:`ValidationError`.
+    An entry of the wrong JSON type is a :class:`ValidationError`. A
+    boolean is never a point id, and an atom entry names a point only
+    when it equals an id of the same JSON type (``2.0`` is not id ``2``).
     """
     try:
         text = Path(path).read_text()
@@ -316,9 +318,19 @@ def _load_partition_document(path: str):
     for i, weight in enumerate(weights):
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise ValidationError(f"{path}: weight {i} is not a number: {weight!r}")
+    for i, pid in enumerate(ids):
+        if isinstance(pid, bool):
+            raise ValidationError(f"{path}: point id {i} is a boolean: {pid!r}")
     if not isinstance(normalize, bool):
         raise ValidationError(f"{path}: 'normalize' must be true or false")
     space = make_space(ids, weights, normalize=normalize)
+
+    def index_of(pid) -> int:
+        index = space.index_of(pid)
+        if type(space.point_ids[index]) is not type(pid):
+            raise ValidationError(f"unknown point id {pid!r}")
+        return index
+
     entries = doc.get("partitions", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValidationError(f"{path}: 'partitions' must be a list of objects")
@@ -330,7 +342,8 @@ def _load_partition_document(path: str):
         atoms = entry["atoms"]
         if not isinstance(atoms, list) or not all(isinstance(a, list) for a in atoms):
             raise ValidationError(f"partition {name!r}: 'atoms' must be a list of lists")
-        partitions.append((name, Partition.from_point_ids(space, atoms)))
+        indices = [[index_of(pid) for pid in atom] for atom in atoms]
+        partitions.append((name, Partition(space, indices)))
     if not partitions:
         raise ValidationError(f"{path}: no partitions given")
     return space, partitions

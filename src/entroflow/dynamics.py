@@ -53,6 +53,8 @@ from .partitions import (
 
 __all__ = [
     "DEFAULT_WORD_CAP",
+    "MAX_CYCLE_POINTS",
+    "MAX_WORD_CAP",
     "CylinderDistribution",
     "InfoRateReport",
     "PermutationSystem",
@@ -73,6 +75,12 @@ __all__ = [
 
 #: Default cap on materialized word-distribution entries.
 DEFAULT_WORD_CAP = 2**20
+
+#: Ceiling on the word or atom cap: a larger cap is lowered to it.
+MAX_WORD_CAP = 2**24
+
+#: Ceiling on the points of a cyclic system.
+MAX_CYCLE_POINTS = 2**20
 
 _STATIONARITY_TOL = 1e-10
 _WEIGHT_TOL = 1e-12
@@ -118,9 +126,17 @@ class PermutationSystem:
 
 
 def cyclic_system(n_points: int) -> PermutationSystem:
-    """The cyclic shift i -> i + 1 (mod n) on n uniform points."""
+    """The cyclic shift i -> i + 1 (mod n) on n uniform points.
+
+    More than ``MAX_CYCLE_POINTS`` points is a :class:`ResourceCapError`,
+    raised before anything is allocated.
+    """
     if n_points < 1:
         raise ValidationError(f"need at least one point, got {n_points}")
+    if n_points > MAX_CYCLE_POINTS:
+        raise ResourceCapError(
+            f"cycle of {n_points} points exceeds the ceiling of {MAX_CYCLE_POINTS}"
+        )
     space = make_space(tuple(range(n_points)), (1.0 / n_points,) * n_points)
     return PermutationSystem(space, tuple((i + 1) % n_points for i in range(n_points)))
 
@@ -214,11 +230,16 @@ class SymbolicSystem:
 
 
 def _number(value: object, what: str) -> float:
-    """``float(value)``, or a :class:`ValidationError` naming the bad entry."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} is not a number: {value!r}") from None
+    """``float(value)``, or a :class:`ValidationError` naming the bad entry.
+
+    Strings and booleans are refused although ``float`` reads them.
+    """
+    if not isinstance(value, (str, bool)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{what} is not a number: {value!r}")
 
 
 def _stationary_vector(q: np.ndarray) -> np.ndarray:
@@ -324,18 +345,25 @@ def _symbol_labels(system: SymbolicSystem, partition: Partition | None) -> np.nd
 
 
 def _positive_cap(cap: int) -> int:
+    """The cap, lowered to ``MAX_WORD_CAP`` when it is larger."""
     cap = int(cap)
     if cap < 1:
         raise ValidationError(f"cap must be positive, got {cap}")
-    return cap
+    return min(cap, MAX_WORD_CAP)
 
 
 def _check_cap(entries: int, cap: int) -> None:
-    if entries > cap:
+    if entries <= cap:
+        return
+    if cap >= MAX_WORD_CAP:
         raise ResourceCapError(
-            f"word enumeration needs {entries} entries, over the cap of {cap}; "
-            "raise the cap explicitly or lower n_max"
+            f"word enumeration needs {entries} entries, over the ceiling of "
+            f"{MAX_WORD_CAP} (a larger cap is lowered to it); lower n_max"
         )
+    raise ResourceCapError(
+        f"word enumeration needs {entries} entries, over the cap of {cap}; "
+        "raise the cap explicitly or lower n_max"
+    )
 
 
 def _joins(

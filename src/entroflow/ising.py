@@ -333,10 +333,6 @@ class RgTrajectory:
     converged_to: VVector | None
     diverged: bool
 
-    @property
-    def final(self) -> VVector:
-        return self.steps[-1][0] if self.steps else self.start
-
 
 def rg_trajectory(
     start: VVector,

@@ -14,12 +14,13 @@ level independently does not nest in general.
 
 Configurations are packed integers: configuration i has spin j down when
 bit j of i is set, and each level's block variables are packed the same
-way, one bit per block. A block rule must act on each row on its own,
-so it is evaluated once, on the (2^b, b) table of every sign pattern of
-a block, and range-checked there: a rule that returns anything but +-1
-on some pattern is rejected even when no configuration shows that
-pattern. The levels are then table lookups on the packed integers, which
-also serve as the partition keys.
+way, one bit per block. A block rule must act on each row on its own, so
+it is evaluated once per block length, on the (2^b, b) table of every
+sign pattern, and range-checked there, even on patterns no configuration
+shows. Site blockings and chained levels are then one and the same table
+lookup on the packed integers, whose results are the partition keys. The
+plateau verdicts are read from the level entropies, each computed once,
+and the reversed (refinement) flow is built only when read.
 
 Configuration enumeration is exact and capped at 2^16 configurations; the
 environment variable ENTROFLOW_MAX_CONFIGS may lower (never raise) that
@@ -31,13 +32,13 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
-from .flows import LimitPointVerdict, PartitionFlow, detect_limit_point, reverse
+from .flows import LimitPointVerdict, PartitionFlow, detect_entropy_plateau, reverse
 from .ising import CouplingVector, _as_coupling, _field_and_bond_sums, spin_configurations
 from .partitions import FiniteProbabilitySpace, Partition, entropy, make_space
 
@@ -252,18 +253,6 @@ def gibbs_space(
     return IsingGibbsSpace(coupling=kk, n_sites=n, space=space, log_normalization=log_z)
 
 
-def _contiguous_blocks(site_partition: Partition) -> list[np.ndarray]:
-    blocks = []
-    for atom in site_partition.atoms:
-        sites = np.array(sorted(atom), dtype=np.int64)
-        if sites.size > 1 and np.any(np.diff(sites) != 1):
-            raise ValidationError(
-                f"site block {sorted(atom)} is not contiguous"
-            )
-        blocks.append(sites)
-    return blocks
-
-
 def _rule_table(block_map: BlockMap, length: int) -> np.ndarray:
     """The rule on every sign pattern of a block of ``length`` spins.
 
@@ -279,25 +268,30 @@ def _rule_table(block_map: BlockMap, length: int) -> np.ndarray:
 
 
 def _block_codes(
-    codes: np.ndarray, table: np.ndarray, length: int, blocks: int
+    codes: np.ndarray,
+    runs: Sequence[tuple[int, int]],
+    table_of: Callable[[int], np.ndarray],
 ) -> np.ndarray:
-    """Apply a rule table to the first ``blocks`` runs of ``length`` bits.
+    """Apply a block rule to runs of bits of every code.
 
-    Block t of each code is bits t*length .. (t+1)*length - 1, and its
-    variable becomes bit t of the result. Neighbouring blocks are looked
-    up together, up to 12 bits at once, through the table of the rule on
-    that many blocks.
+    Each run is a (first bit, length) pair, runs in bit order, and the
+    rule's value on run t becomes bit t of the result. Neighbouring runs
+    are looked up together, 12 // longest run at a time, through one table
+    built from ``table_of(length)`` over the bits they span; bits between
+    runs (sites left out) sit in its patterns and are ignored.
     """
-    group = min(blocks, max(1, 12 // length))
-    patterns = np.arange(1 << group * length, dtype=np.int64)
-    wide = np.zeros_like(patterns)
-    for t in range(group):
-        wide |= table[(patterns >> t * length) & ((1 << length) - 1)] << t
+    group = max(1, 12 // max(length for _, length in runs))
     out = np.zeros_like(codes)
-    for start in range(0, blocks, group):
-        out |= wide[(codes >> start * length) & (patterns.size - 1)] << start
-    # a short last group reads absent blocks as pattern 0; drop their bits
-    return out & ((1 << blocks) - 1)
+    for start in range(0, len(runs), group):
+        chunk = runs[start : start + group]
+        low = chunk[0][0]
+        patterns = np.arange(1 << (chunk[-1][0] + chunk[-1][1] - low), dtype=np.int64)
+        wide = np.zeros_like(patterns)
+        for t, (first, length) in enumerate(chunk):
+            bits = (patterns >> (first - low)) & ((1 << length) - 1)
+            wide |= table_of(length)[bits] << t
+        out |= wide[(codes >> low) & (patterns.size - 1)] << start
+    return out
 
 
 def induced_config_partition(
@@ -316,15 +310,17 @@ def induced_config_partition(
             f"site partition covers {site_partition.space.size} sites, "
             f"the configurations have {gibbs.n_sites}"
         )
-    index = np.arange(gibbs.space.size, dtype=np.int64)
-    tables: dict[int, np.ndarray] = {}
-    keys = np.zeros_like(index)
-    for column, sites in enumerate(_contiguous_blocks(site_partition)):
-        length = sites.size
-        if length not in tables:
-            tables[length] = _rule_table(block_map, length)
-        pattern = (index >> sites[0]) & ((1 << length) - 1)
-        keys |= tables[length][pattern] << column
+    runs = []
+    for atom in site_partition.atoms:
+        sites = sorted(atom)
+        if sites[-1] - sites[0] + 1 != len(sites):
+            raise ValidationError(f"site block {sites} is not contiguous")
+        runs.append((sites[0], len(sites)))
+    keys = _block_codes(
+        np.arange(gibbs.space.size, dtype=np.int64),
+        sorted(runs),
+        cache(partial(_rule_table, block_map)),
+    )
     return Partition._from_labels(gibbs.space, keys)
 
 
@@ -339,9 +335,13 @@ class RgEntropyFlowResult:
     entropies: tuple[float, ...]
     atom_counts: tuple[int, ...]
     coarse_flow: PartitionFlow
-    refinement_flow: PartitionFlow
     coarse_verdict: LimitPointVerdict
     refinement_verdict: LimitPointVerdict
+
+    @cached_property
+    def refinement_flow(self) -> PartitionFlow:
+        """The coarse flow reversed, built and validated on first read."""
+        return reverse(self.coarse_flow)
 
 
 def rg_entropy_flow(
@@ -350,17 +350,16 @@ def rg_entropy_flow(
     block_size: int = 2,
     levels: int = 1,
     block_map: BlockMap = majority_first_site,
-    *,
-    epsilon: float = 1e-9,
 ) -> RgEntropyFlowResult:
     """Entropies along the chained block-spin flow, both directions.
 
-    Level 0 blocks the raw spins; each further level blocks the previous
-    level's block variables. The induced configuration partitions are
-    nested by construction, so the forward flow validates as coarse
-    graining and its reverse as refinement, and the entropy sequence is
-    nonincreasing. Plateau verdicts are attached for both directions
-    (trivially witnessed for a single level).
+    Level 0 blocks the raw spins and each further level the previous
+    level's block variables, by the lookup that site blockings use too.
+    The induced configuration partitions nest by construction, so the
+    forward flow validates as coarse graining, once, and the entropies
+    are nonincreasing. Both directions' plateau verdicts are read from
+    those entropies (trivially witnessed for a single level); the
+    refinement flow is built on first read.
     """
     if levels < 1:
         raise ValidationError(f"levels must be at least 1, got {levels}")
@@ -368,26 +367,22 @@ def rg_entropy_flow(
     for level in range(levels):
         spec.block_length(level)  # validates divisibility up front
     gibbs = gibbs_space(k, n_sites)
-    table = _rule_table(block_map, spec.block_size)
+    b = spec.block_size
+    table_of = cache(partial(_rule_table, block_map))
     codes = np.arange(gibbs.space.size, dtype=np.int64)
-    width = gibbs.n_sites
     partitions: list[Partition] = []
-    for _ in range(levels):
-        width //= spec.block_size
-        codes = _block_codes(codes, table, spec.block_size, width)
+    for level in range(levels):
+        runs = [(t * b, b) for t in range(gibbs.n_sites // b ** (level + 1))]
+        codes = _block_codes(codes, runs, table_of)
         partitions.append(Partition._from_labels(gibbs.space, codes))
     coarse = PartitionFlow(gibbs.space, tuple(partitions), "coarse-graining")
-    refinement = reverse(coarse)
     entropies = tuple(entropy(p) for p in partitions)
     if levels == 1:
         trivial = LimitPointVerdict("witnessed", 0, 0.0)
         coarse_verdict = refinement_verdict = trivial
     else:
-        window = min(len(coarse), 8)
-        coarse_verdict = detect_limit_point(coarse, epsilon=epsilon, window=window)
-        refinement_verdict = detect_limit_point(
-            refinement, epsilon=epsilon, window=window
-        )
+        coarse_verdict = detect_entropy_plateau(entropies)
+        refinement_verdict = detect_entropy_plateau(entropies[::-1])
     return RgEntropyFlowResult(
         coupling=gibbs.coupling,
         n_sites=gibbs.n_sites,
@@ -396,8 +391,6 @@ def rg_entropy_flow(
         entropies=entropies,
         atom_counts=tuple(p.n_atoms for p in partitions),
         coarse_flow=coarse,
-        refinement_flow=refinement,
         coarse_verdict=coarse_verdict,
         refinement_verdict=refinement_verdict,
     )
-

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -273,6 +275,10 @@ class TestExitCodes:
             ("markov:[[0.5,null],[1,0]]", "transition entry [0][1] is not a number"),
             ("markov:[[0.5,[0.5]],[1,0]]", "transition entry [0][1] is not a number"),
             ("markov:[[0.5,0.5],[1]]", "unequal lengths [2, 1]"),
+            ('markov:[["0.9","0.1"],[true,false]]',
+             "transition entry [0][0] is not a number: '0.9'"),
+            ("markov:[[0.9,0.1],[true,false]]",
+             "transition entry [1][0] is not a number: True"),
         ],
     )
     def test_non_numeric_system_spec(self, capsys, spec, entry):
@@ -315,6 +321,75 @@ class TestExitCodes:
     def test_nonpositive_cap(self, capsys, subcommand, system, cap):
         assert run([subcommand, "--system", system, "--nmax", "4", "--cap", cap]) == 2
         assert f"cap must be positive, got {cap}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["ks", "theorem-check"])
+    @pytest.mark.parametrize("n", [2**20 + 1, 30000000, 10**30])
+    def test_cycle_ceiling(self, capsys, subcommand, n):
+        assert run([subcommand, "--system", f"cycle:{n}", "--nmax", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cycle of {n} points exceeds the ceiling of {2**20}\n"
+        )
+
+    def test_cycle_ceiling_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_CYCLE_POINTS", 8)
+        assert run(["ks", "--system", "cycle:8", "--nmax", "2"]) == 0
+        assert run(["ks", "--system", "cycle:9", "--nmax", "2"]) == 3
+        assert capsys.readouterr().err.endswith(
+            "error: cycle of 9 points exceeds the ceiling of 8\n"
+        )
+
+    @pytest.mark.parametrize("subcommand", ["ks", "theorem-check"])
+    def test_cap_is_clamped_to_the_ceiling(self, capsys, monkeypatch, subcommand):
+        monkeypatch.setattr(dynamics, "MAX_WORD_CAP", 64)
+        argv = [subcommand, "--system", "bernoulli:0.5,0.5"]
+        # 2^6 words fit under the ceiling whatever the cap asked for
+        assert run([*argv, "--nmax", "6", "--cap", str(2**34)]) == 0
+        capsys.readouterr()
+        assert run([*argv, "--nmax", "7", "--cap", str(2**34)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: word enumeration needs 128 entries, over the ceiling of 64 "
+            "(a larger cap is lowered to it); lower n_max\n"
+        )
+        # a cap below the ceiling still applies, with its own message
+        assert run([*argv, "--nmax", "7", "--cap", "32"]) == 3
+        assert capsys.readouterr().err == (
+            "error: word enumeration needs 64 entries, over the cap of 32; "
+            "raise the cap explicitly or lower n_max\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec, extra, message",
+        [
+            ("cycle:30000000", [], "cycle of 30000000 points exceeds the ceiling"),
+            # 5000^2 words of length 2 fit a cap of 2^34 but not the 2^24 ceiling
+            ("bernoulli:" + ",".join(["0.0002"] * 5000), ["--cap", str(2**34)],
+             "over the ceiling of 16777216"),
+        ],
+    )
+    def test_ceilings_hold_under_a_memory_limit(self, spec, extra, message):
+        pytest.importorskip("resource")
+        limit = 512 * 2**20
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from entroflow.cli import run\n"
+            "sys.exit(run(sys.argv[1:]))\n"
+        )
+        src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src),
+               "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", code, "ks", "--system", spec, "--nmax", "3", *extra],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert message in done.stderr
 
     def test_theorem_check_inconsistency_exit(self, capsys, monkeypatch):
         real = dynamics.theorem_limit_point_check
@@ -410,6 +485,14 @@ class TestPartitionCommand:
             (None, [{"name": "p", "atoms": ["ab"]}],
              "partition 'p': 'atoms' must be a list of lists"),
             (None, [{"atoms": [[["a"]], ["b"]]}], "unknown point id ['a']"),
+            ({"ids": [1, True], "weights": [0.5, 0.5]}, None,
+             "{path}: point id 1 is a boolean: True"),
+            ({"ids": [1, 2], "weights": [0.5, 0.5]},
+             [{"name": "p", "atoms": [[True], [2.0]]}], "unknown point id True"),
+            ({"ids": [1, 2], "weights": [0.5, 0.5]},
+             [{"name": "p", "atoms": [[1], [2.0]]}], "unknown point id 2.0"),
+            ({"ids": [1.0, 2], "weights": [0.5, 0.5]},
+             [{"name": "p", "atoms": [[1], [2]]}], "unknown point id 1"),
         ],
     )
     def test_malformed_document_exits_2(
@@ -425,6 +508,15 @@ class TestPartitionCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message.format(path=path)}\n"
+
+    def test_ids_of_each_json_type(self, tmp_path, capsys):
+        doc = {"space": {"ids": [1, 2.5, "a", None], "weights": [1, 1, 1, 1],
+                         "normalize": True},
+               "partitions": [{"name": "p", "atoms": [[1, 2.5], ["a", None]]}]}
+        assert run(["partition", "--input", write_doc(tmp_path, doc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["space"]["ids"] == [1, 2.5, "a", None]
+        assert report["partitions"][0]["entropy_bits"] == 1.0
 
     def test_normalize_true_rescales(self, tmp_path, capsys):
         doc = {"space": {"ids": ["a", "b"], "weights": [1, 3], "normalize": True},
@@ -846,8 +938,9 @@ def system_specs(draw):
     if form == "markov json":
         return "markov:" + json.dumps(draw(json_values))
     if form == "cycle":
-        return f"cycle:{draw(st.integers(-2, 40))}"
-    # no cycle here: its size is only bounded by memory
+        # above the 2^20 ceiling: exit 3 before anything is allocated
+        return f"cycle:{draw(st.integers(-2, 40) | st.integers(2**20 + 1, 2**70))}"
+    # no cycle here: one just under the ceiling takes a second
     return draw(st.text(max_size=12).filter(
         lambda t: t.partition(":")[0].strip().lower() != "cycle"))
 
@@ -868,7 +961,7 @@ def partition_texts(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["ks", "theorem-check"]), system_specs(), partition_texts(),
-       st.integers(1, 6), st.sampled_from([None, "-1", "3", "64"]))
+       st.integers(1, 6), st.sampled_from([None, "-1", "3", "64", str(2**34)]))
 def test_system_and_partition_text_never_exit_1(subcommand, spec, partition, nmax, cap):
     argv = [subcommand, "--system", spec, "--nmax", str(nmax)]
     if partition is not None:

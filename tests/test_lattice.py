@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entroflow import flows, lattice
 from entroflow import (
     DEFAULT_CONFIG_CAP,
     ENV_CONFIG_CAP,
@@ -15,6 +16,7 @@ from entroflow import (
     ValidationError,
     atom_probabilities,
     block_site_partition,
+    detect_limit_point,
     effective_config_cap,
     entropy,
     gibbs_space,
@@ -486,3 +488,85 @@ class TestLazyConfigurationViews:
         relabelled = make_space(range(16), g.space.weight_array)
         assert g.space != relabelled
         assert not g.space.weight_array.flags.writeable
+
+
+class TestOnePathThroughTheFlow:
+    @settings(max_examples=40, deadline=None)
+    @given(block_flows().filter(lambda flow: flow[3] >= 2))
+    def test_verdicts_and_lazy_refinement_flow(self, flow):
+        # within 12 sites only blocks of 2 and 3 reach a second level
+        k, sites, block, levels = flow
+        r = rg_entropy_flow(k, sites, block, levels)
+        assert r.coarse_verdict == detect_limit_point(r.coarse_flow)
+        assert "refinement_flow" not in vars(r)
+        refinement = r.refinement_flow
+        assert vars(r)["refinement_flow"] is refinement is r.refinement_flow
+        assert r.refinement_verdict == detect_limit_point(refinement)
+        assert refinement.direction == "refinement"
+        assert refinement.sequence == r.coarse_flow.sequence[::-1]
+        for finer, coarser in zip(refinement[1:], refinement):
+            assert is_coarsening(coarser, finer)
+
+    @pytest.mark.parametrize("sites, block, levels", [(16, 2, 4), (9, 3, 2), (8, 2, 1)])
+    def test_nesting_checked_once_and_entropies_computed_once(
+        self, monkeypatch, sites, block, levels
+    ):
+        calls = {"is_coarsening": 0, "entropy": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(flows, "is_coarsening", counting("is_coarsening", is_coarsening))
+        monkeypatch.setattr(flows, "entropy", counting("entropy", entropy))
+        monkeypatch.setattr(lattice, "entropy", counting("entropy", entropy))
+        rg_entropy_flow((0.2, -0.5), sites, block, levels)
+        assert calls == {"is_coarsening": levels - 1, "entropy": levels}
+
+
+@st.composite
+def site_blockings(draw):
+    """(sites, contiguous blocks): some leave out one block, of weight zero.
+
+    Block lengths are drawn freely, so a block longer than 12 // its
+    length (4 sites or more) is common.
+    """
+    sites = draw(st.integers(2, 12))
+    cuts = draw(st.sets(st.integers(1, sites - 1), max_size=sites - 1))
+    bounds = [0, *sorted(cuts), sites]
+    blocks = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    if len(blocks) > 1 and draw(st.booleans()):
+        blocks.pop(draw(st.integers(0, len(blocks) - 1)))
+    return sites, blocks
+
+
+class TestInducedPartitionReference:
+    @settings(max_examples=60, deadline=None)
+    @given(site_blockings(), st.sampled_from(["majority", "last"]),
+           st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    def test_matches_per_block_pm1_reference(self, blocking, rule, k0, k1):
+        sites, blocks = blocking
+        weights = np.zeros(sites)
+        weights[[s for block in blocks for s in block]] = 1.0
+        site = Partition(make_space(range(sites), weights, normalize=True), blocks)
+        g = gibbs_space((k0, k1), sites)
+
+        def last_site(block):
+            return block[:, -1]
+
+        block_map = majority_first_site if rule == "majority" else last_site
+        p = induced_config_partition(g, site, block_map)
+        spins = pm1_spins(sites)
+        columns = []
+        for block in blocks:
+            values = spins[:, block].astype(np.int64)
+            if rule == "majority":
+                totals = values.sum(axis=1)
+                columns.append(np.where(totals != 0, np.sign(totals), values[:, 0]))
+            else:
+                columns.append(values[:, -1])
+        _, keys = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
+        assert p == Partition._from_labels(g.space, keys.ravel())
