@@ -379,10 +379,12 @@ def _joins(
     the exact probability vector of the length-n words reduced through the
     symbol partition (the generating partition when ``partition`` is
     None), and fails before it would hold more than ``cap`` entries. The
-    generating partition grows the word vector itself; a lumped alphabet
-    grows a table over (reduced word, current symbol), since the next
-    symbol's law depends on the current symbol and not on its group. The
-    inputs are checked on the first ``next``, before anything is yielded.
+    words grow by one broadcast product with the step, the row p of a
+    Bernoulli shift or the matrix Q of a Markov shift; a lumped Bernoulli
+    shift is the Bernoulli shift of its group masses. A lumped Markov
+    alphabet grows a table over (reduced word, current symbol), since the
+    next symbol's law depends on the current symbol and not on its group.
+    The inputs are checked on the first ``next``, before anything is yielded.
     """
     if isinstance(system, PermutationSystem):
         if partition is None:
@@ -400,23 +402,21 @@ def _joins(
         return
     labels = _symbol_labels(system, partition)
     cap = _positive_cap(cap)
-    m = system.alphabet_size
     groups = int(labels.max()) + 1
-    symbols = np.arange(m)
     p = np.asarray(system.marginal, dtype=float)
     if system.transition is None:
-        step = np.tile(p, (m, 1))
+        p = step = np.bincount(labels, weights=p)
     else:
         step = np.asarray(system.transition, dtype=float)
-    if np.array_equal(labels, symbols):
+    m = p.size
+    symbols = np.arange(m)
+    if system.transition is None or np.array_equal(labels, symbols):
         _check_cap(m, cap)
         words = p
         yield words
         for _ in range(1, n_max):
             _check_cap(words.size * m, cap)
-            # inline: a named index array would stay alive in this generator
-            # while the caller measures the words
-            words = (words[:, None] * step[np.arange(words.size) % m]).reshape(-1)
+            words = (words.reshape(-1, m, 1) * step).reshape(-1)
             yield words
         return
     _check_cap(groups * m, cap)

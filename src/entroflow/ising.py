@@ -39,6 +39,7 @@ __all__ = [
     "eigenvalues_oracle",
     "inverse_rg_step_zero_field",
     "log_partition_function",
+    "log_partition_function_bruteforce",
     "partition_function",
     "partition_function_bruteforce",
     "rg_step_closed",
@@ -214,19 +215,54 @@ def partition_function_bruteforce(
     """Z_N summed over all 2^N spin configurations, the exact oracle.
 
     Enumerates exp(K0 sum S_i + K1 sum S_i S_{i+1}) with the periodic
-    closure S_{N+1} = S_1. Capped at N = 20 sites.
+    closure S_{N+1} = S_1. Capped at N = 20 sites. Raises when a term or
+    the sum leaves the double range; use
+    :func:`log_partition_function_bruteforce` there.
     """
     kk = _as_coupling(k)
+    field, bonds = _field_and_bond_sums(_validate_bruteforce_length(n_sites))
+    try:
+        with np.errstate(over="raise"):
+            return float(np.exp(kk.k0 * field + kk.k1 * bonds).sum())
+    except FloatingPointError:
+        raise ValidationError(
+            "brute-force Z overflows a double; "
+            "work with log_partition_function_bruteforce instead"
+        ) from None
+
+
+def log_partition_function_bruteforce(
+    k: CouplingVector | Iterable[float], n_sites: int
+) -> float:
+    """log Z_N by a log-sum-exp over all 2^N spin configurations.
+
+    The same enumeration as :func:`partition_function_bruteforce`, shifted
+    by the largest exponent, so it is finite anywhere in |K| <= 300.
+    Capped at N = 20 sites.
+    """
+    kk = _as_coupling(k)
+    field, bonds = _field_and_bond_sums(_validate_bruteforce_length(n_sites))
+    return _shifted_boltzmann(kk.k0 * field + kk.k1 * bonds)[1]
+
+
+def _validate_bruteforce_length(n_sites: int) -> int:
     n = _validate_chain_length(n_sites)
     if n > _BRUTEFORCE_MAX_SITES:
         raise ValidationError(
             f"brute force is capped at {_BRUTEFORCE_MAX_SITES} sites, got {n}"
         )
-    field, bonds = _field_and_bond_sums(n)
-    z = float(np.exp(kk.k0 * field + kk.k1 * bonds).sum())
-    if not math.isfinite(z):
-        raise ValidationError("brute-force Z overflowed; reduce the couplings")
-    return z
+    return n
+
+
+def _shifted_boltzmann(exponent: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(exponent - top) for the largest exponent top, and log sum exp(exponent).
+
+    Every weight lies in [0, 1], so the log of the sum stays finite where
+    the plain sum of exp(exponent) would overflow.
+    """
+    top = exponent.max()
+    boltzmann = np.exp(exponent - top)
+    return boltzmann, float(top + np.log(boltzmann.sum()))
 
 
 def _field_and_bond_sums(n_sites: int) -> tuple[np.ndarray, np.ndarray]:

@@ -155,7 +155,12 @@ class FiniteProbabilitySpace:
         return {pid: i for i, pid in enumerate(self.point_ids)}
 
     def index_of(self, point_id: Hashable) -> int:
-        """Index of a point label, raising on unknown labels."""
+        """Index of a point label, raising on unknown labels.
+
+        Labels match by Python equality, as dict keys do: on ids (1, 2),
+        ``True`` finds index 0 and ``2.0`` index 1, and a Python int finds
+        the ``numpy.int64`` id that ``make_space(np.arange(n), ...)`` stores.
+        """
         try:
             return self._index_by_id[point_id]
         except (KeyError, TypeError):  # TypeError: unhashable, so no point's id
@@ -376,7 +381,11 @@ class Partition:
         space: FiniteProbabilitySpace,
         groups: Iterable[Iterable[Hashable]],
     ) -> "Partition":
-        """Build a partition from groups of point labels instead of indices."""
+        """Build a partition from groups of point labels instead of indices.
+
+        Labels are looked up with :meth:`FiniteProbabilitySpace.index_of`,
+        so they match by Python equality: ``True`` names the point ``1``.
+        """
         return cls(space, [[space.index_of(pid) for pid in g] for g in groups])
 
     @classmethod

@@ -364,10 +364,20 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "spec, extra, message",
         [
-            ("cycle:30000000", [], "cycle of 30000000 points exceeds the ceiling"),
+            ("cycle:30000000", ["--nmax", "3"],
+             "cycle of 30000000 points exceeds the ceiling"),
             # 5000^2 words of length 2 fit a cap of 2^34 but not the 2^24 ceiling
-            ("bernoulli:" + ",".join(["0.0002"] * 5000), ["--cap", str(2**34)],
-             "over the ceiling of 16777216"),
+            ("bernoulli:" + ",".join(["0.0002"] * 5000),
+             ["--nmax", "3", "--cap", str(2**34)], "over the ceiling of 16777216"),
+            # 10000^2 words of length 2 are refused before any m x m array is built
+            ("bernoulli:" + ",".join(["0.0001"] * 10000), ["--nmax", "2"],
+             "over the cap of 1048576"),
+            # no message, exit 0: two interleaved groups are the fair coin of
+            # their masses, 2^n words at length n
+            ("bernoulli:" + ",".join(["0.0001"] * 10000),
+             ["--nmax", "2", "--partition",
+              json.dumps([list(range(0, 10000, 2)), list(range(1, 10000, 2))])],
+             None),
         ],
     )
     def test_ceilings_hold_under_a_memory_limit(self, spec, extra, message):
@@ -383,10 +393,14 @@ class TestExitCodes:
         env = {**os.environ, "PYTHONPATH": os.path.abspath(src),
                "OPENBLAS_NUM_THREADS": "1"}
         done = subprocess.run(
-            [sys.executable, "-c", code, "ks", "--system", spec, "--nmax", "3", *extra],
+            [sys.executable, "-c", code, "ks", "--system", spec, *extra],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        assert done.returncode == 3, done.stderr
+        assert done.returncode == (0 if message is None else 3), done.stderr
+        if message is None:
+            assert done.stderr == ""
+            assert abs(json.loads(done.stdout)["h_estimate"] - 1.0) <= 1e-9
+            return
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert message in done.stderr
@@ -831,7 +845,7 @@ def accepted_invocations(draw):
                 "--n", str(n)]
         if draw(st.booleans()):
             argv.append("--log")
-        if n <= 12 and draw(st.booleans()):
+        if draw(st.booleans()):
             argv.append("--check-bruteforce")
     elif kind == "ising-rg":
         v = coupling.map(lambda k: repr(math.exp(-k)))
@@ -864,6 +878,30 @@ def test_accepted_input_never_exits_1(argv):
         assert code in (2, 3)
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=-300.0, max_value=300.0),
+       st.floats(min_value=-300.0, max_value=300.0), st.integers(2, 20))
+def test_log_domain_bruteforce_anywhere_in_the_cap(k0, k1, n):
+    """The brute force holds log Z to double resolution, even past exp's range.
+
+    Exit 4 stays possible: near n = 20 and log Z ~ 1e4 the two routes sit
+    a few units in the last place of log Z apart, which the relative gap
+    in Z reads as more than the default 1e-12.
+    """
+    # --k1=VALUE: argparse reads a separate "-1e-05" as an option
+    argv = ["ising-z", f"--k0={k0!r}", f"--k1={k1!r}", "--n", str(n),
+            "--log", "--check-bruteforce"]
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 4)
+    record = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    log_z, brute = record["log_z"], record["bruteforce_log_z"]
+    assert math.isfinite(brute)
+    assert abs(log_z - brute) <= 1e-14 * max(1.0, abs(log_z))
+    assert ("bruteforce_z" in record) == (brute <= 709.0)
 
 
 json_values = st.recursive(

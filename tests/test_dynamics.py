@@ -496,6 +496,19 @@ def test_word_joins_match_brute_force(case):
         assert np.abs(np.array(report.block_entropies) - brute).max() <= 1e-12
 
 
+def test_lumped_bernoulli_is_the_shift_of_its_group_masses():
+    system = SymbolicSystem.bernoulli([0.1, 0.2, 0.3, 0.4])
+    halves = Partition(system.symbol_space, [[0, 2], [1, 3]])
+    words = iterated_join(system, halves, 10, cap=2**10)
+    masses = SymbolicSystem.bernoulli([0.1 + 0.3, 0.2 + 0.4])
+    assert np.array_equal(words.probabilities,
+                          iterated_join(masses, None, 10).probabilities)
+    assert (words.group_count, words.labels) == (2, (0, 1, 0, 1))
+    # groups^n words are held, not a groups^n x m table
+    with pytest.raises(ResourceCapError, match="needs 2048 entries"):
+        iterated_join(system, halves, 11, cap=2**10)
+
+
 class TestParseSystemSpec:
     @pytest.mark.parametrize(
         "text,kind",

@@ -14,7 +14,9 @@ from entroflow import (
     eigenvalues,
     eigenvalues_oracle,
     inverse_rg_step_zero_field,
+    gibbs_space,
     log_partition_function,
+    log_partition_function_bruteforce,
     partition_function,
     partition_function_bruteforce,
     rg_step_closed,
@@ -186,6 +188,30 @@ class TestPartitionFunction:
         for k0, k1 in [(0.0, 0.0), (0.3, -0.7), (-1.2, 0.4), (2.0, 1.5), (0.0, -8.0)]:
             expected = float(np.exp(k0 * field + k1 * bonds).sum())
             assert partition_function_bruteforce(CouplingVector(k0, k1), n) == expected
+
+    @pytest.mark.parametrize(
+        "k0, k1, n",
+        # one term past the double range, and finite terms whose sum is not
+        [(0.0, 200.0, 5), (0.0, 142.0, 5), (0.0, 709.7 / 12, 12)],
+    )
+    def test_bruteforce_overflow_names_the_log_route(self, k0, k1, n):
+        # RuntimeWarnings are errors in this suite, so none is printed either
+        k = CouplingVector(k0, k1)
+        with pytest.raises(ValidationError, match="log_partition_function_bruteforce"):
+            partition_function_bruteforce(k, n)
+        assert log_partition_function_bruteforce(k, n) == pytest.approx(
+            log_z_bruteforce(k0, k1, n), rel=1e-15
+        )
+
+    def test_log_bruteforce_is_the_gibbs_normalization(self):
+        rng = np.random.default_rng(41)
+        for k in random_couplings(rng, 12, -300.0, 300.0):
+            n = int(rng.integers(2, 13))
+            assert log_partition_function_bruteforce(k, n) == (
+                gibbs_space(k, n).log_normalization
+            )
+        with pytest.raises(ValidationError, match="capped at 20 sites"):
+            log_partition_function_bruteforce(CouplingVector(0.1, 0.1), 21)
 
     def test_spin_configurations_layout(self):
         configs = spin_configurations(2)
@@ -408,4 +434,8 @@ couplings = st.one_of(
 @given(couplings, couplings, st.integers(min_value=2, max_value=14))
 def test_log_z_matches_log_sum_exp_over_the_cap(k0, k1, n):
     closed = log_partition_function(CouplingVector(k0, k1), n)
-    assert closed == pytest.approx(log_z_bruteforce(k0, k1, n), rel=1e-12)
+    expected = log_z_bruteforce(k0, k1, n)
+    assert closed == pytest.approx(expected, rel=1e-12)
+    # the package's own enumeration, from popcounts instead of a spin matrix
+    brute = log_partition_function_bruteforce(CouplingVector(k0, k1), n)
+    assert abs(brute - expected) <= 1e-14 * max(1.0, abs(expected))

@@ -554,6 +554,18 @@ def test_unhashable_point_id_is_unknown():
         Partition.from_point_ids(s, [[["a"]], ["b"]])
 
 
+def test_point_ids_match_by_python_equality():
+    # a dict lookup: True == 1 and 2.0 == 2, and ints find numpy.int64 ids
+    s = make_space([1, 2], [0.25, 0.75])
+    assert (s.index_of(True), s.index_of(2.0)) == (0, 1)
+    assert Partition.from_point_ids(s, [[True], [2.0]]) == Partition.discrete(s)
+    wide = make_space(np.arange(4), [0.25] * 4)
+    assert type(wide.point_ids[3]) is np.int64
+    assert wide.index_of(3) == 3
+    with pytest.raises(ValidationError, match="unknown point id '1'"):
+        s.index_of("1")
+
+
 @pytest.mark.parametrize("n_atoms", [255, 256, 300, 65535, 65536, 70000])
 def test_atom_masses_for_many_atoms(n_atoms):
     # label widths around the 8- and 16-bit boundaries of the grouping sort
