@@ -37,6 +37,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -73,29 +74,21 @@ EXIT_INCONSISTENT = 4
 # Flags a config file sets through its "output" section, not "params".
 _OUTPUT_FLAGS = ("out", "format")
 
+# The values of every --format flag and of a config's output format.
+_FORMATS = ("delimited", "structured")
+
 
 def _float_repr(x: float) -> str:
     """Shortest representation that round-trips the exact double."""
     return repr(float(x))
 
 
-def _jsonable(value):
-    """Recursively coerce numpy scalars and arrays into plain Python."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _json(value) -> str:
-    return json.dumps(_jsonable(value), sort_keys=True)
+    """Sorted-key JSON; numpy arrays and scalars are written as Python values.
+
+    ``numpy.float64`` is a ``float``, which json writes with ``float.__repr__``.
+    """
+    return json.dumps(value, sort_keys=True, default=lambda v: v.tolist())
 
 
 def emit_record(record: dict) -> str:
@@ -185,6 +178,13 @@ def _write(args, output: _Output) -> None:
 class _Parser(argparse.ArgumentParser):
     """argparse with one-line diagnostics instead of usage dumps."""
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent: it reads -1e-05 as an option
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"
+        )
+
     def error(self, message: str):
         raise ValidationError(message)
 
@@ -205,9 +205,7 @@ def _parser() -> _Parser:
     )
     p.add_argument("--input", required=True, help="partition document (JSON)")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument(
-        "--format", choices=("delimited", "structured"), default="structured"
-    )
+    p.add_argument("--format", choices=_FORMATS, default="structured")
     p.add_argument(
         "--pairwise",
         action="store_true",
@@ -221,9 +219,7 @@ def _parser() -> _Parser:
     p.add_argument("--cap", type=int, default=dynamics.DEFAULT_WORD_CAP)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", help="write rows (n, H_n, H_n/n) here")
-    p.add_argument(
-        "--format", choices=("delimited", "structured"), default="delimited"
-    )
+    p.add_argument("--format", choices=_FORMATS, default="delimited")
 
     p = sub.add_parser("ising-rg", help="forward decimation trajectory")
     p.add_argument("--v0", type=float, required=True)
@@ -259,9 +255,7 @@ def _parser() -> _Parser:
     p.add_argument("--block", type=int, default=2)
     p.add_argument("--levels", type=int, default=1)
     p.add_argument("--out", help="write rows (level, atoms, H_bits) here")
-    p.add_argument(
-        "--format", choices=("delimited", "structured"), default="delimited"
-    )
+    p.add_argument("--format", choices=_FORMATS, default="delimited")
 
     p = sub.add_parser("theorem-check", help="plateau verdict vs rate estimate")
     p.add_argument("--system", required=True, help="bernoulli:..., markov:..., cycle:N")
@@ -398,9 +392,7 @@ def _partition_arg(system, raw: str | None) -> Partition | None:
         if symbolic:
             return None
         n = system.space.size
-        if n == 1:
-            return Partition.trivial(system.space)
-        return Partition(system.space, [range(n // 2), range(n // 2, n)])
+        return Partition._from_labels(system.space, np.arange(n) >= n // 2)
     try:
         groups = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -465,7 +457,7 @@ def _cmd_ising_rg_sweep(args) -> _Output:
     if args.sweep_random < 1:
         raise ValidationError(f"--sweep-random must be positive, got {args.sweep_random}")
     rng = np.random.default_rng(args.seed)
-    worst = {"v0": 0.0, "v1": 0.0, "c": 0.0, "residual": 0.0}
+    worst = {"v0": 0.0, "v1": 0.0, "c": 0.0}
     rows = []
     for i in range(args.sweep_random):
         v = ising.VVector(1.0 - rng.uniform(), 1.0 - rng.uniform())
@@ -573,7 +565,7 @@ class ExperimentConfig:
 
     subcommand: str
     params: dict[str, object] = field(default_factory=dict)
-    output_format: str = "delimited"
+    output_format: str | None = None
     output_path: str | None = None
     tolerances: dict[str, float] = field(default_factory=dict)
 
@@ -662,7 +654,7 @@ def validate_config(path: str | Path) -> ExperimentConfig:
             if key not in raw_params:
                 violations.append(f"missing required key {key!r} for {subcommand}")
 
-    output_format = "delimited"
+    output_format = None
     output_path = None
     output = doc.get("output", {})
     if not isinstance(output, dict):
@@ -673,10 +665,10 @@ def validate_config(path: str | Path) -> ExperimentConfig:
                 violations.append(
                     f"unknown key {key!r} in output{_suggest(key, ('format', 'path'))}"
                 )
-        output_format = output.get("format", "delimited")
-        if output_format not in ("delimited", "structured"):
+        output_format = output.get("format")
+        if "format" in output and output_format not in _FORMATS:
             violations.append(
-                f"output format must be 'delimited' or 'structured', "
+                f"output format must be {_FORMATS[0]!r} or {_FORMATS[1]!r}, "
                 f"got {output_format!r}"
             )
         output_path = output.get("path")
@@ -715,8 +707,13 @@ def validate_config(path: str | Path) -> ExperimentConfig:
 
 
 def _argv_from_config(config: ExperimentConfig) -> list[str]:
+    """The config as flags, joined to values by ``=`` so no value reads as a flag."""
     argv = [config.subcommand]
     values = {**config.tolerances, **config.params}
+    if config.output_path is not None:
+        values["out"] = config.output_path
+    if config.output_format is not None and "format" in _flags(config.subcommand):
+        values["format"] = config.output_format
     for key in sorted(values):
         value = values[key]
         flag = "--" + key.replace("_", "-")
@@ -724,11 +721,7 @@ def _argv_from_config(config: ExperimentConfig) -> list[str]:
             if value:
                 argv.append(flag)
         else:
-            argv.extend([flag, str(value)])
-    if config.output_path is not None:
-        argv.extend(["--out", config.output_path])
-        if "format" in _flags(config.subcommand):
-            argv.extend(["--format", config.output_format])
+            argv.append(f"{flag}={value}")
     return argv
 
 

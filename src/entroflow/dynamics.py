@@ -86,17 +86,19 @@ _STATIONARITY_TOL = 1e-10
 _WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutationSystem:
     """A finite probability space with a measure-preserving permutation.
 
-    ``mapping[i]`` is the image of point ``i``. Measure preservation for a
-    permutation reduces to weight(mapping[i]) == weight(i), checked
-    exactly up to 1e-12 on construction.
+    ``mapping[i]`` is the image of point ``i``. Any integer sequence is
+    accepted, and it is stored as a read-only int64 array. Measure
+    preservation for a permutation reduces to weight(mapping[i]) ==
+    weight(i), checked exactly up to 1e-12 on construction. Systems
+    compare by identity.
     """
 
     space: FiniteProbabilitySpace
-    mapping: tuple[int, ...]
+    mapping: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.space.size
@@ -109,6 +111,7 @@ class PermutationSystem:
             np.sort(mapping), np.arange(n)
         ):
             raise ValidationError("mapping is not a permutation of the point indices")
+        mapping = mapping.astype(np.int64)
         w = self.space.weight_array
         drift = np.abs(w[mapping] - w) > _WEIGHT_TOL
         if drift.any():
@@ -117,12 +120,8 @@ class PermutationSystem:
                 f"weight not preserved at point {i}: "
                 f"{float(w[i])!r} -> {float(w[mapping[i]])!r}"
             )
-
-    @cached_property
-    def _mapping_array(self) -> np.ndarray:
-        arr = np.asarray(self.mapping, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
+        mapping.setflags(write=False)
+        object.__setattr__(self, "mapping", mapping)
 
 
 def cyclic_system(n_points: int) -> PermutationSystem:
@@ -137,8 +136,8 @@ def cyclic_system(n_points: int) -> PermutationSystem:
         raise ResourceCapError(
             f"cycle of {n_points} points exceeds the ceiling of {MAX_CYCLE_POINTS}"
         )
-    space = make_space(tuple(range(n_points)), (1.0 / n_points,) * n_points)
-    return PermutationSystem(space, tuple((i + 1) % n_points for i in range(n_points)))
+    space = make_space(range(n_points), np.full(n_points, 1.0 / n_points))
+    return PermutationSystem(space, np.roll(np.arange(n_points), -1))
 
 
 @dataclass(frozen=True)
@@ -300,7 +299,7 @@ def pullback_partition(system: PermutationSystem, partition: Partition) -> Parti
     if partition.space != system.space:
         raise ValidationError("partition does not live on the system's space")
     return Partition._from_labels(
-        system.space, partition.atom_index_array[system._mapping_array]
+        system.space, partition.atom_index_array[system.mapping]
     )
 
 

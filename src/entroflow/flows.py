@@ -71,17 +71,14 @@ class PartitionFlow:
         for p in self.sequence:
             if p.space != self.space:
                 raise SpaceMismatchError("flow members must share the flow's space")
-        for n in range(len(self.sequence) - 1):
-            if self.direction == COARSE_GRAINING:
-                if not is_coarsening(self.sequence[n + 1], self.sequence[n]):
-                    raise FlowDirectionError(
-                        f"coarse-graining violated at step {n} -> {n + 1}"
-                    )
-            elif self.direction == REFINEMENT:
-                if not is_coarsening(self.sequence[n], self.sequence[n + 1]):
-                    raise FlowDirectionError(
-                        f"refinement violated at step {n} -> {n + 1}"
-                    )
+        if self.direction == UNVALIDATED:
+            return
+        for n, (a, b) in enumerate(zip(self.sequence, self.sequence[1:])):
+            coarse, fine = (b, a) if self.direction == COARSE_GRAINING else (a, b)
+            if not is_coarsening(coarse, fine):
+                raise FlowDirectionError(
+                    f"{self.direction} violated at step {n} -> {n + 1}"
+                )
 
     def __len__(self) -> int:
         return len(self.sequence)

@@ -129,7 +129,7 @@ class LatticeSpec:
     def site_space(self) -> FiniteProbabilitySpace:
         """The sites under counting measure, the home of site partitions."""
         n = self.site_count
-        return make_space(tuple(range(n)), (1.0 / n,) * n)
+        return make_space(range(n), np.full(n, 1.0 / n))
 
 
 def block_site_partition(spec: LatticeSpec, level: int) -> Partition:

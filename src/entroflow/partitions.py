@@ -206,19 +206,15 @@ def make_space(
     """
     if not isinstance(weights, np.ndarray):
         weights = list(weights)
-    w = _weight_vector(weights)
-    if w.size and np.any(w < 0.0):
-        raise ValidationError(f"negative weight: min is {float(w.min())!r}")
-    total = float(w.sum())
     if normalize:
+        w = _weight_vector(weights)
+        if np.any(w < 0.0):
+            raise ValidationError(f"negative weight: min is {float(w.min())!r}")
+        total = float(w.sum())
         if total <= 0.0:
             raise ValidationError("zero total mass, cannot normalize")
-        w = w / total
-    elif w.size and abs(total - 1.0) > DEFAULT_TOLERANCE:
-        raise ValidationError(
-            f"unnormalized weights (sum {total!r}); pass normalize=True to rescale"
-        )
-    return FiniteProbabilitySpace(point_ids, w)
+        weights = w / total
+    return FiniteProbabilitySpace(point_ids, weights)
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,26 @@ class TestExitCodes:
         assert code == 2
         assert "--seed is mandatory" in capsys.readouterr().err
 
+    def test_sweep_of_no_starts(self, capsys):
+        code = run(["ising-rg", "--v0", "1", "--v1", "1", "--sweep-random", "0",
+                    "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: --sweep-random must be positive, got 0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ising-z", "--k0", "0", "--k1", "-1e-05", "--n", "2"],
+            ["entropy-flow", "--k0", "-2.5E+0", "--k1", "-1e-05", "--sites", "4"],
+        ],
+    )
+    def test_negative_exponent_is_a_value(self, capsys, argv):
+        assert run(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["k1"] == -1e-05
+
     def test_resource_cap_exit(self, capsys):
         code = run(["entropy-flow", "--k0", "0", "--k1", "0", "--sites", "32"])
         assert code == 3
@@ -494,6 +514,10 @@ class TestPartitionCommand:
              "{path}: 'normalize' must be true or false"),
             (None, [3], "{path}: 'partitions' must be a list of objects"),
             (None, {"x": 1}, "{path}: 'partitions' must be a list of objects"),
+            ({"ids": ["a", "b"], "weights": [1, 1]}, None,
+             "unnormalized weights (sum 2.0); pass normalize=True to make_space "
+             "to rescale"),
+            (None, [{"name": "p"}], "partition 'p' has no atoms"),
             (None, [{"name": "p", "atoms": 5}],
              "partition 'p': 'atoms' must be a list of lists"),
             (None, [{"name": "p", "atoms": ["ab"]}],
@@ -566,6 +590,12 @@ class TestEntropyFlowCommand:
 
 
 class TestTheoremCheckCommand:
+    @pytest.mark.parametrize("subcommand", ["ks", "theorem-check"])
+    def test_one_point_cycle_has_rate_zero(self, capsys, subcommand):
+        assert run([subcommand, "--system", "cycle:1"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["h_estimate"] == 0.0
+
     def test_permutation_is_consistent(self, capsys):
         assert run(["theorem-check", "--system", "cycle:4"]) == 0
         record = json.loads(capsys.readouterr().out)
@@ -742,6 +772,41 @@ class TestConfigFiles:
         assert len(err_lines) == 2  # unknown key + missing 'system'
         assert all(l.startswith("error: ") for l in err_lines)
 
+    @pytest.mark.parametrize(
+        "doc, errors",
+        [
+            ([1, 2], ["config must be an object"]),
+            ({"params": {}}, ["missing required key 'subcommand'"]),
+            ({"subcommand": "ks", "params": []},
+             ["params must be an object", "missing required key 'system' for ks"]),
+            ({"subcommand": "ks", "params": {"system": "cycle:4"}, "output": 3},
+             ["output must be an object"]),
+            ({"subcommand": "ks", "params": {"system": "cycle:4"}, "tolerances": []},
+             ["tolerances must be an object"]),
+            ({"subcommand": "ks", "params": {"system": "cycle:4"},
+              "output": {"fomat": "delimited"}},
+             ["unknown key 'fomat' in output (did you mean 'format'?)"]),
+            ({"subcommand": "ks", "params": {"system": "cycle:4"},
+              "output": {"path": 3}},
+             ["output path must be a string"]),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, doc, errors):
+        assert run(["--config", self.write(tmp_path, doc)]) == 2
+        assert capsys.readouterr() == (
+            "", "".join(f"error: {e}\n" for e in errors)
+        )
+
+    def test_negative_exponent_in_params(self, tmp_path, capsys):
+        path = self.write(
+            tmp_path,
+            {"subcommand": "ising-z", "params": {"k0": 0, "k1": -1e-05, "n": 2}},
+        )
+        assert run(["--config", path]) == 0
+        config_out = capsys.readouterr()
+        assert run(["ising-z", "--k0", "0", "--k1", "-1e-05", "--n", "2"]) == 0
+        assert capsys.readouterr() == config_out
+
     def test_missing_config_file(self, capsys):
         assert run(["--config", "/nonexistent/config.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -810,25 +875,39 @@ class TestFlagsAndConfigAgree:
         ],
         ids=cli.SUBCOMMANDS,
     )
-    def test_same_stdout_and_file(self, tmp_path, capsys, code, argv, config):
+    @pytest.mark.parametrize(
+        "output_keys", [("format", "path"), ("format",), ("path",)],
+        ids=["format and path", "format only", "path only"],
+    )
+    def test_same_stdout_and_file(
+        self, tmp_path, capsys, code, argv, config, output_keys
+    ):
         doc = write_doc(tmp_path, SAMPLE_DOC)
+        if "format" not in output_keys and "--format" in argv:
+            at = argv.index("--format")
+            argv = argv[:at] + argv[at + 2:]
         results = []
         for name in ("flags", "config"):
             out = tmp_path / f"{name}.out"
             if name == "flags":
-                args = [a.replace("{doc}", doc) for a in argv] + ["--out", str(out)]
+                args = [a.replace("{doc}", doc) for a in argv]
+                if "path" in output_keys:
+                    args += ["--out", str(out)]
             else:
                 params = {k: doc if v == "{doc}" else v
                           for k, v in config["params"].items()}
                 output = {**config.get("output", {}), "path": str(out)}
+                output = {k: v for k, v in output.items() if k in output_keys}
                 path = tmp_path / "config.json"
                 path.write_text(json.dumps({**config, "params": params,
                                             "output": output}))
                 args = ["--config", str(path)]
             assert run(args) == code
-            results.append((capsys.readouterr(), out.read_bytes()))
+            written = out.read_bytes() if out.exists() else None
+            results.append((capsys.readouterr(), written))
         assert results[0] == results[1]
-        assert results[0][1]
+        assert (results[0][1] is not None) == ("path" in output_keys)
+        assert results[0][1] != b""
 
 
 @st.composite
@@ -890,8 +969,7 @@ def test_log_domain_bruteforce_anywhere_in_the_cap(k0, k1, n):
     a few units in the last place of log Z apart, which the relative gap
     in Z reads as more than the default 1e-12.
     """
-    # --k1=VALUE: argparse reads a separate "-1e-05" as an option
-    argv = ["ising-z", f"--k0={k0!r}", f"--k1={k1!r}", "--n", str(n),
+    argv = ["ising-z", "--k0", repr(k0), "--k1", repr(k1), "--n", str(n),
             "--log", "--check-bruteforce"]
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()):

@@ -74,6 +74,54 @@ class TestPermutationSystem:
         space = make_space("abc", [0.4, 0.4, 0.2])
         PermutationSystem(space, (1, 0, 2))
 
+    @pytest.mark.parametrize(
+        "mapping", [(1, 2, 0), [1, 2, 0], np.array([1, 2, 0], dtype=np.int32)]
+    )
+    def test_mapping_is_stored_as_a_read_only_int64_array(self, mapping):
+        s = PermutationSystem(make_space("abc", [1 / 3] * 3), mapping)
+        assert isinstance(s.mapping, np.ndarray)
+        assert s.mapping.dtype == np.int64
+        assert not s.mapping.flags.writeable
+        assert s.mapping.tolist() == [1, 2, 0]
+        if isinstance(mapping, np.ndarray):
+            mapping[0] = 0  # the system holds its own copy
+            assert s.mapping.tolist() == [1, 2, 0]
+
+    @pytest.mark.parametrize(
+        "weights, mapping, message",
+        [
+            ([1 / 3] * 3, (0, 1), "mapping of length 2 on a space of 3 points"),
+            ([1 / 3] * 3, (0, 0, 1),
+             "mapping is not a permutation of the point indices"),
+            ([0.5, 0.3, 0.2], (1, 2, 0), "weight not preserved at point 0: 0.5 -> 0.3"),
+            ([0.25, 0.25, 0.3, 0.2], (0, 1, 2, 4),
+             "mapping is not a permutation of the point indices"),
+            ([0.25, 0.25, 0.3, 0.2], (0.0, 1.0, 2.0, 3.0),
+             "mapping is not a permutation of the point indices"),
+            ([0.25, 0.25, 0.3, 0.2], (1, 0, 3, 2),
+             "weight not preserved at point 2: 0.3 -> 0.2"),
+        ],
+    )
+    def test_rejection_messages(self, weights, mapping, message):
+        space = make_space(range(len(weights)), weights)
+        with pytest.raises(ValidationError) as excinfo:
+            PermutationSystem(space, mapping)
+        assert str(excinfo.value) == message
+
+    def test_systems_compare_by_identity(self):
+        s = cyclic_system(3)
+        assert s == s and s != cyclic_system(3)
+        assert len({s, cyclic_system(3)}) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+    def test_cycle_space_is_the_tuple_built_space(self, n):
+        space = cyclic_system(n).space
+        expected = make_space(tuple(range(n)), (1 / n,) * n)
+        assert space == expected and hash(space) == hash(expected)
+        assert type(space.point_ids) is tuple
+        assert all(type(i) is int for i in space.point_ids)
+        assert cyclic_system(n).mapping.tolist() == [(i + 1) % n for i in range(n)]
+
 
 class TestSymbolicSystem:
     def test_bernoulli_marginal(self):

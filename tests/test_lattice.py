@@ -68,6 +68,13 @@ class TestLatticeSpec:
         assert space.point_ids == (0, 1, 2, 3)
         assert np.allclose(space.weights, 0.25)
 
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_site_space_is_the_tuple_built_space(self, n):
+        space = LatticeSpec(site_count=n).site_space
+        expected = make_space(tuple(range(n)), (1 / n,) * n)
+        assert space == expected and hash(space) == hash(expected)
+        assert all(type(i) is int for i in space.point_ids)
+
 
 class TestBlockSitePartition:
     def test_level_zero_pairs(self):
