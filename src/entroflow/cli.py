@@ -500,7 +500,7 @@ def _cmd_ising_z(args) -> _Output:
     if args.check_bruteforce:
         brute = ising.log_partition_function_bruteforce(k, args.n)
         record["bruteforce_log_z"] = brute
-        if brute <= 709.0:
+        if brute <= ising.MAX_LOG_Z:
             record["bruteforce_z"] = math.exp(brute)
         # the relative gap in Z, taken in the log domain
         delta = abs(math.expm1(record["log_z"] - brute))

@@ -42,8 +42,10 @@ from .flows import (
     detect_entropy_plateau,
 )
 from .partitions import (
+    DEFAULT_TOLERANCE,
     FiniteProbabilitySpace,
     Partition,
+    _check_probabilities,
     entropy,
     is_coarsening,
     join,
@@ -83,7 +85,6 @@ MAX_WORD_CAP = 2**24
 MAX_CYCLE_POINTS = 2**20
 
 _STATIONARITY_TOL = 1e-10
-_WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +114,7 @@ class PermutationSystem:
             raise ValidationError("mapping is not a permutation of the point indices")
         mapping = mapping.astype(np.int64)
         w = self.space.weight_array
-        drift = np.abs(w[mapping] - w) > _WEIGHT_TOL
+        drift = np.abs(w[mapping] - w) > DEFAULT_TOLERANCE
         if drift.any():
             i = int(drift.argmax())
             raise ValidationError(
@@ -157,21 +158,14 @@ class SymbolicSystem:
         p = np.asarray(self.marginal, dtype=float)
         if p.size < 2:
             raise ValidationError("alphabet needs at least two symbols")
-        if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-            raise ValidationError("marginal must be a probability vector")
-        if abs(float(p.sum()) - 1.0) > _WEIGHT_TOL:
-            raise ValidationError(f"marginal sums to {float(p.sum())!r}, not 1")
+        _check_probabilities(p, "marginal probability", "marginal probabilities")
         if self.transition is not None:
             q = np.asarray(self.transition, dtype=float)
             if q.shape != (p.size, p.size):
                 raise ValidationError(
                     f"transition shape {q.shape} does not match alphabet size {p.size}"
                 )
-            if np.any(q < 0.0) or not np.all(np.isfinite(q)):
-                raise ValidationError("transition entries must be nonnegative")
-            rows = q.sum(axis=1)
-            if np.any(np.abs(rows - 1.0) > _WEIGHT_TOL):
-                raise ValidationError(f"transition rows sum to {rows!r}, not 1")
+            _check_probabilities(q, "transition entry", "transition entries")
             drift = float(np.abs(p @ q - p).max())
             if drift > _STATIONARITY_TOL:
                 raise ValidationError(
@@ -244,8 +238,7 @@ def _number(value: object, what: str) -> float:
 def _stationary_vector(q: np.ndarray) -> np.ndarray:
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValidationError(f"transition matrix must be square, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise ValidationError("transition entries must be finite")
+    _check_probabilities(q, "transition entry", "transition entries")
     eigvals, eigvecs = np.linalg.eig(q.T)
     near_one = np.abs(eigvals - 1.0) <= 1e-8
     if not near_one.any():
@@ -254,7 +247,7 @@ def _stationary_vector(q: np.ndarray) -> np.ndarray:
         raise ValidationError(
             "eigenvalue 1 of the transition matrix is degenerate "
             f"(multiplicity {np.count_nonzero(near_one)}): the chain is reducible "
-            "and has more than one stationary vector; pass stationary= explicitly"
+            "and has more than one stationary vector"
         )
     k = int(near_one.argmax())
     v = np.real(eigvecs[:, k])
@@ -595,7 +588,6 @@ def verify_generating_map(
     n_max: int | None = None,
     *,
     cap: int = DEFAULT_WORD_CAP,
-    tol: float = 1e-12,
 ) -> bool:
     """Check that a refinements' flow is the join flow of its first member.
 
@@ -605,7 +597,7 @@ def verify_generating_map(
     reference and cannot be materialized as finite partitions; there the
     check verifies the consistency that makes it a refinements' flow,
     namely that each length-(n+1) word distribution marginalizes onto the
-    length-n one within ``tol``.
+    length-n one within ``DEFAULT_TOLERANCE``.
     """
     if isinstance(system, PermutationSystem):
         if ref_flow is None:
@@ -618,7 +610,7 @@ def verify_generating_map(
     for current in _joins(system, None, 8 if n_max is None else n_max, cap):
         if previous is not None:
             marginal = current.reshape(-1, system.alphabet_size).sum(axis=1)
-            if float(np.abs(marginal - previous).max()) > tol:
+            if float(np.abs(marginal - previous).max()) > DEFAULT_TOLERANCE:
                 return False
         previous = current
     return True

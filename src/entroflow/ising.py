@@ -31,6 +31,7 @@ from .errors import InconsistencyError, ValidationError
 
 __all__ = [
     "COUPLING_CAP",
+    "MAX_LOG_Z",
     "CouplingVector",
     "RgTrajectory",
     "TransferMatrix",
@@ -51,6 +52,9 @@ __all__ = [
 
 #: Bound on |K0| and |K1| before exp() leaves the double range.
 COUPLING_CAP = 300.0
+
+#: Largest log Z whose exponential is returned as a double.
+MAX_LOG_Z = 709.0
 
 _BRUTEFORCE_MAX_SITES = 20
 _ORACLE_RESIDUAL_TOL = 1e-12
@@ -201,7 +205,7 @@ def partition_function(k: CouplingVector | Iterable[float], n_sites: int) -> flo
     :func:`log_partition_function` there.
     """
     log_z = log_partition_function(k, n_sites)
-    if log_z > 709.0:
+    if log_z > MAX_LOG_Z:
         raise ValidationError(
             f"Z overflows a double (log Z = {log_z!r}); "
             "work with the log-domain value instead"

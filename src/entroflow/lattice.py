@@ -191,9 +191,6 @@ class _ConfigIds(Sequence[str]):
             return len(other) == len(self) and tuple(self) == other
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
     def __repr__(self) -> str:
         return f"_ConfigIds(n_sites={self.n_sites})"
 

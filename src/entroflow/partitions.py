@@ -58,6 +58,24 @@ def shannon_bits(probabilities: Iterable[float] | np.ndarray) -> float:
     return float(-(pos * np.log2(pos)).sum()) + 0.0
 
 
+def _check_probabilities(p: np.ndarray, one: str, many: str) -> None:
+    """The one rule for a probability vector, or every row of a matrix.
+
+    ``p`` must be finite, nonnegative, and each slice along its last axis
+    must sum to 1 within ``DEFAULT_TOLERANCE``; checked in that order.
+    ``one`` and ``many`` name an entry and the entries in the messages,
+    which print plain floats (the row sums of a matrix as a list).
+    """
+    if not np.isfinite(p).all():
+        raise ValidationError(f"{many} must be finite")
+    low = float(p.min())
+    if low < 0.0:
+        raise ValidationError(f"negative {one}: min is {low!r}")
+    sums = p.sum(axis=-1)
+    if (np.abs(sums - 1.0) > DEFAULT_TOLERANCE).any():
+        raise ValidationError(f"unnormalized {many} (sum {sums.tolist()})")
+
+
 def _weight_vector(weights: Sequence[float] | np.ndarray) -> np.ndarray:
     """The weights as a new flat float64 array, or a :class:`ValidationError`."""
     try:
@@ -128,16 +146,7 @@ class FiniteProbabilitySpace:
             raise ValidationError(f"{len(point_ids)} point ids but {len(w)} weights")
         if not distinct and _count_distinct(point_ids) != len(point_ids):
             raise ValidationError("duplicate point ids")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("weights must be finite")
-        if np.any(w < 0.0):
-            raise ValidationError(f"negative weight: min is {float(w.min())!r}")
-        total = float(w.sum())
-        if abs(total - 1.0) > DEFAULT_TOLERANCE:
-            raise ValidationError(
-                f"unnormalized weights (sum {total!r}); pass normalize=True to "
-                "make_space to rescale"
-            )
+        _check_probabilities(w, "weight", "weights")
         w.setflags(write=False)
         object.__setattr__(self, "point_ids", point_ids)
         object.__setattr__(self, "weight_array", w)
@@ -227,13 +236,7 @@ class AtomDistribution:
         p = np.asarray(self.probabilities, dtype=float)
         if p.size == 0:
             raise ValidationError("empty atom distribution")
-        if np.any(p < 0.0):
-            raise ValidationError(
-                f"negative atom probability: min is {float(p.min())!r}"
-            )
-        total = float(p.sum())
-        if abs(total - 1.0) > DEFAULT_TOLERANCE:
-            raise ValidationError(f"atom probabilities sum to {total!r}, not 1")
+        _check_probabilities(p, "atom probability", "atom probabilities")
 
     @property
     def entropy_bits(self) -> float:

@@ -263,7 +263,10 @@ class TestExitCodes:
 
     def test_reducible_markov_chain_is_rejected(self, capsys):
         assert run(["ks", "--system", "markov:[[1,0],[0,1]]", "--nmax", "4"]) == 2
-        assert "stationary" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: eigenvalue 1 of the transition matrix is degenerate (multiplicity 2): "
+            "the chain is reducible and has more than one stationary vector\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -334,6 +337,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: transition entries must be finite\n"
+
+    @pytest.mark.parametrize("subcommand", ["ks", "theorem-check"])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("markov:[[0.5,0.4],[0.5,0.5]]",
+             "unnormalized transition entries (sum [0.9, 1.0])"),
+            ("markov:[[1.5,-0.5],[0.5,0.5]]", "negative transition entry: min is -0.5"),
+            ("bernoulli:0.5,0.6", "unnormalized marginal probabilities (sum 1.1)"),
+            ("bernoulli:1.5,-0.5", "negative marginal probability: min is -0.5"),
+        ],
+    )
+    def test_invalid_law_names_its_cause(self, capsys, subcommand, spec, message):
+        # a markov: spec is checked as a transition matrix before pi is derived
+        assert run([subcommand, "--system", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("subcommand", ["ks", "theorem-check"])
     @pytest.mark.parametrize("system", ["bernoulli:0.5,0.5", "cycle:8"])
@@ -515,8 +536,7 @@ class TestPartitionCommand:
             (None, [3], "{path}: 'partitions' must be a list of objects"),
             (None, {"x": 1}, "{path}: 'partitions' must be a list of objects"),
             ({"ids": ["a", "b"], "weights": [1, 1]}, None,
-             "unnormalized weights (sum 2.0); pass normalize=True to make_space "
-             "to rescale"),
+             "unnormalized weights (sum 2.0)"),
             (None, [{"name": "p"}], "partition 'p' has no atoms"),
             (None, [{"name": "p", "atoms": 5}],
              "partition 'p': 'atoms' must be a list of lists"),
@@ -1023,6 +1043,8 @@ def _assert_documented_exit(code, out, err):
     if code in (2, 3):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        # messages print plain values, never numpy reprs
+        assert "np." not in err and "array(" not in err
     if code == 0:
         json.loads(out.splitlines()[-1], parse_constant=_reject_constant)
 

@@ -134,12 +134,35 @@ class TestSymbolicSystem:
             SymbolicSystem.bernoulli([1.0])
 
     def test_distribution_must_normalize(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as excinfo:
             SymbolicSystem.bernoulli([0.5, 0.4])
+        assert str(excinfo.value) == "unnormalized marginal probabilities (sum 0.9)"
 
     def test_markov_rows_must_be_stochastic(self):
-        with pytest.raises(ValidationError):
+        # the rows are checked before the stationary vector is derived
+        with pytest.raises(ValidationError) as excinfo:
             SymbolicSystem.markov([[0.9, 0.2], [0.5, 0.5]])
+        assert str(excinfo.value) == "unnormalized transition entries (sum [1.1, 1.0])"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SymbolicSystem.bernoulli([1.5, -0.5]),
+             "negative marginal probability: min is -0.5"),
+            (lambda: SymbolicSystem.bernoulli([0.5, float("inf")]),
+             "marginal probabilities must be finite"),
+            (lambda: SymbolicSystem.markov([[1.5, -0.5], [0.5, 0.5]]),
+             "negative transition entry: min is -0.5"),
+            (lambda: SymbolicSystem.markov([[0.5, 0.5], [0.5, 0.5]], stationary=[1.5, -0.5]),
+             "negative marginal probability: min is -0.5"),
+            (lambda: SymbolicSystem((0.5, 0.5), ((1.0,),)),
+             "transition shape (1, 1) does not match alphabet size 2"),
+        ],
+    )
+    def test_rejection_messages(self, build, message):
+        with pytest.raises(ValidationError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
 
     def test_markov_derives_stationary_distribution(self):
         m = SymbolicSystem.markov(Q_REFERENCE)
@@ -150,8 +173,12 @@ class TestSymbolicSystem:
             SymbolicSystem.markov(Q_REFERENCE, stationary=[0.5, 0.5])
 
     def test_reducible_chain_needs_an_explicit_stationary_vector(self):
-        with pytest.raises(ValidationError, match="degenerate"):
+        with pytest.raises(ValidationError) as excinfo:
             SymbolicSystem.markov([[1.0, 0.0], [0.0, 1.0]])
+        assert str(excinfo.value) == (
+            "eigenvalue 1 of the transition matrix is degenerate (multiplicity 2): "
+            "the chain is reducible and has more than one stationary vector"
+        )
         m = SymbolicSystem.markov([[1.0, 0.0], [0.0, 1.0]], stationary=[0.3, 0.7])
         assert m.marginal == (0.3, 0.7)
         # a periodic chain is irreducible: its eigenvalue 1 is simple
@@ -262,6 +289,19 @@ class TestInfoRateReport:
         report = info_rate_report(SymbolicSystem.bernoulli([0.5, 0.5]), n_max=16)
         assert report.block_entropies == tuple(float(n) for n in range(1, 17))
         assert report.h_estimate == 1.0
+
+    @pytest.mark.parametrize(
+        "partition, message",
+        [
+            (None, "a permutation system needs an explicit partition"),
+            (Partition.trivial(cyclic_system(5).space),
+             "partition does not live on the system's space"),
+        ],
+    )
+    def test_permutation_partition_is_checked(self, partition, message):
+        with pytest.raises(ValidationError) as excinfo:
+            info_rate_report(cyclic_system(4), partition, 3)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_must_be_positive(self, cap):

@@ -8,6 +8,7 @@ from entroflow import (
     FlowDirectionError,
     Partition,
     PartitionFlow,
+    SpaceMismatchError,
     ValidationError,
     detect_entropy_plateau,
     detect_limit_point,
@@ -63,6 +64,23 @@ def test_direction_violation_raises(eight):
         PartitionFlow(eight, (fine, coarse), REFINEMENT)
     # the same sequence is accepted when validation is opted out
     PartitionFlow(eight, (coarse, fine), UNVALIDATED)
+
+
+@pytest.mark.parametrize(
+    "members, direction, error, message",
+    [
+        (lambda s: (Partition.trivial(s),), "sideways", ValidationError,
+         "direction must be one of ('coarse-graining', 'refinement', 'unvalidated'), "
+         "got 'sideways'"),
+        (lambda s: (), REFINEMENT, ValidationError, "a flow needs at least one partition"),
+        (lambda s: (Partition.trivial(s), Partition.trivial(uniform_space(4))),
+         REFINEMENT, SpaceMismatchError, "flow members must share the flow's space"),
+    ],
+)
+def test_flow_rejection_messages(eight, members, direction, error, message):
+    with pytest.raises(error) as excinfo:
+        PartitionFlow(eight, members(eight), direction)
+    assert str(excinfo.value) == message
 
 
 def test_entropy_sequence_horizon(eight):
@@ -128,6 +146,11 @@ class TestMaterialize:
             materialize_flow(gen())
         flow = materialize_flow(gen(), horizon=3)
         assert len(flow) == 3
+
+    def test_empty_sequence_is_refused(self):
+        with pytest.raises(ValidationError) as excinfo:
+            materialize_flow([])
+        assert str(excinfo.value) == "empty flow after materialization"
 
     def test_sized_sequence_without_horizon(self, eight):
         members = block_chain(eight, [8, 4])

@@ -91,6 +91,9 @@ class TestTransferMatrix:
             TransferMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))  # not symmetric
         with pytest.raises(ValidationError):
             TransferMatrix(np.array([[1.0, -2.0], [-2.0, 4.0]]))
+        with pytest.raises(ValidationError) as excinfo:
+            TransferMatrix(np.eye(3))
+        assert str(excinfo.value) == "transfer matrix must be 2x2, got shape (3, 3)"
 
     def test_matrix_is_read_only(self):
         m = transfer_matrix(CouplingVector(0.1, 0.2)).matrix
@@ -253,6 +256,13 @@ class TestRgStepClosed:
     def test_range_failures_are_validation_errors(self):
         with pytest.raises(ValidationError):
             rg_step_closed(VVector(1e-300, 1e-300))
+        # every term of t is finite (1e308 at most), their sum is not
+        with pytest.raises(ValidationError) as excinfo:
+            rg_step_closed(VVector(1e-154, 1e-77))
+        assert str(excinfo.value) == (
+            "decimation step overflowed at V = (1e-154, 1e-77); "
+            "couplings too large for the closed form"
+        )
 
 
 class TestRgStepOracle:

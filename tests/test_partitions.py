@@ -11,6 +11,7 @@ from entroflow import (
     Partition,
     PermutationSystem,
     SpaceMismatchError,
+    SymbolicSystem,
     ValidationError,
     atom_probabilities,
     entropy,
@@ -103,7 +104,7 @@ class TestMakeSpace:
             (("a", "a"), (0.5, 0.5), "duplicate point ids"),
             (("a", "b"), (0.5, float("nan")), "weights must be finite"),
             (("a", "b"), (1.5, -0.5), "negative weight: min is"),
-            (("a", "b"), (0.5, 0.6), "pass normalize=True to make_space"),
+            (("a", "b"), (0.5, 0.6), r"^unnormalized weights \(sum 1\.1\)$"),
         ],
     )
     def test_space_constructor_checks(self, ids, weights, message):
@@ -534,6 +535,17 @@ NOT_FLAT = "weights must be a flat sequence of numbers"
          "negative weight: min is -0.25"),
         (lambda: AtomDistribution((1.25, -0.25)),
          "negative atom probability: min is -0.25"),
+        (lambda: AtomDistribution((float("nan"), 1.0)),
+         "atom probabilities must be finite"),
+        (lambda: AtomDistribution((0.5, 0.6)), "unnormalized atom probabilities (sum 1.1)"),
+        (lambda: AtomDistribution(()), "empty atom distribution"),
+        (lambda: make_space("ab", [1.5, -0.5], normalize=True),
+         "negative weight: min is -0.5"),
+        (lambda: SymbolicSystem.markov([[0.5, 0.4], [0.5, 0.5]], stationary=[0.5, 0.5]),
+         "unnormalized transition entries (sum [0.9, 1.0])"),
+        (lambda: SymbolicSystem.markov([[float("nan"), 1.0], [0.5, 0.5]],
+                                       stationary=[0.5, 0.5]),
+         "transition entries must be finite"),
         (lambda: make_space([[1], [2]], [0.5, 0.5]), "point id [1] is not hashable"),
         (lambda: FiniteProbabilitySpace(["a", {}], [0.5, 0.5]),
          "point id {} is not hashable"),
