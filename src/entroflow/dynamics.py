@@ -46,6 +46,7 @@ from .partitions import (
     FiniteProbabilitySpace,
     Partition,
     _check_probabilities,
+    _float_array,
     entropy,
     is_coarsening,
     join,
@@ -155,12 +156,12 @@ class SymbolicSystem:
     transition: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.marginal, dtype=float)
+        p = _float_array(self.marginal, "marginal probabilities")
         if p.size < 2:
             raise ValidationError("alphabet needs at least two symbols")
         _check_probabilities(p, "marginal probability", "marginal probabilities")
         if self.transition is not None:
-            q = np.asarray(self.transition, dtype=float)
+            q = _float_array(self.transition, "transition entries", ndim=2)
             if q.shape != (p.size, p.size):
                 raise ValidationError(
                     f"transition shape {q.shape} does not match alphabet size {p.size}"

@@ -18,9 +18,18 @@ way, one bit per block. A block rule must act on each row on its own, so
 it is evaluated once per block length, on the (2^b, b) table of every
 sign pattern, and range-checked there, even on patterns no configuration
 shows. Site blockings and chained levels are then one and the same table
-lookup on the packed integers, whose results are the partition keys. The
-plateau verdicts are read from the level entropies, each computed once,
-and the reversed (refinement) flow is built only when read.
+lookup on the packed integers, whose results are the partition keys.
+
+Only level 0 touches the configurations. Every higher level is a
+function of the level-0 code, so it is computed on the quotient space
+with one point per level-0 atom (at most 256 at the cap with blocks of
+2), weighted by the atom's mass, and the nesting of the levels is
+checked there on every call. A level's entropy sums the Gibbs weights of
+its atoms over the configurations, in the order ``entropy`` uses, so it
+has the same bytes as the entropy of the level's partition of the Gibbs
+space. The plateau verdicts are read from those entropies, each computed
+once; the flow on the Gibbs space and its reverse (the refinement flow)
+are built only when read.
 
 Configuration enumeration is exact and capped at 2^16 configurations; the
 environment variable ENTROFLOW_MAX_CONFIGS may lower (never raise) that
@@ -46,7 +55,13 @@ from .ising import (
     _shifted_boltzmann,
     spin_configurations,
 )
-from .partitions import FiniteProbabilitySpace, Partition, entropy, make_space
+from .partitions import (
+    FiniteProbabilitySpace,
+    Partition,
+    _label_masses,
+    make_space,
+    shannon_bits,
+)
 
 __all__ = [
     "DEFAULT_CONFIG_CAP",
@@ -327,9 +342,30 @@ def induced_config_partition(
     return Partition._from_labels(gibbs.space, keys)
 
 
+def _through(quotient: Partition, level0: Partition) -> np.ndarray:
+    """A quotient partition's labels carried to every point of the Gibbs space.
+
+    The quotient's point j is level-0 atom j, so a point takes the label of
+    its level-0 atom; zero-weight points (level-0 label -1) read the padded
+    last slot and keep -1. Level-0 atoms are numbered by their first point,
+    so a coarser atom's first point opens its first level-0 atom and the
+    labels come out canonical.
+    """
+    padded = np.append(quotient.atom_index_array, -1)
+    return padded[level0.atom_index_array]
+
+
 @dataclass(frozen=True)
 class RgEntropyFlowResult:
-    """Entropy profile of a chained block-spin coarse graining."""
+    """Entropy profile of a chained block-spin coarse graining.
+
+    ``level0`` is the level-0 partition of the Gibbs space and
+    ``quotient_flow`` the validated coarse-graining flow of every level on
+    the quotient space, whose point j is level-0 atom j weighted by its
+    mass. ``coarse_flow``, the same levels as partitions of the Gibbs
+    space, and its reverse ``refinement_flow`` are built and validated on
+    first read.
+    """
 
     coupling: CouplingVector
     n_sites: int
@@ -337,9 +373,20 @@ class RgEntropyFlowResult:
     levels: int
     entropies: tuple[float, ...]
     atom_counts: tuple[int, ...]
-    coarse_flow: PartitionFlow
+    level0: Partition
+    quotient_flow: PartitionFlow
     coarse_verdict: LimitPointVerdict
     refinement_verdict: LimitPointVerdict
+
+    @cached_property
+    def coarse_flow(self) -> PartitionFlow:
+        """The levels as partitions of the Gibbs space, built and validated on first read."""
+        space = self.level0.space
+        coarser = (
+            Partition._from_labels(space, _through(q, self.level0))
+            for q in self.quotient_flow.sequence[1:]
+        )
+        return PartitionFlow(space, (self.level0, *coarser), "coarse-graining")
 
     @cached_property
     def refinement_flow(self) -> PartitionFlow:
@@ -356,13 +403,17 @@ def rg_entropy_flow(
 ) -> RgEntropyFlowResult:
     """Entropies along the chained block-spin flow, both directions.
 
-    Level 0 blocks the raw spins and each further level the previous
-    level's block variables, by the lookup that site blockings use too.
-    The induced configuration partitions nest by construction, so the
-    forward flow validates as coarse graining, once, and the entropies
-    are nonincreasing. Both directions' plateau verdicts are read from
-    those entropies (trivially witnessed for a single level); the
-    refinement flow is built on first read.
+    Level 0 blocks the raw spins of every configuration, by the lookup
+    that site blockings use too. Each further level blocks the previous
+    level's variables, and these are functions of the level-0 code, so
+    they are computed once per level-0 atom: on the quotient space with
+    one point per level-0 atom, weighted by its mass. The levels there
+    nest by construction and are validated as a coarse-graining flow on
+    every call. Each entropy sums the Gibbs weights of its atoms point by
+    point, in the order ``entropy`` uses on the Gibbs space, so it has the
+    same bytes. Both directions' plateau verdicts are read from those
+    entropies (trivially witnessed for a single level); the flows on the
+    Gibbs space are built on first read.
     """
     if levels < 1:
         raise ValidationError(f"levels must be at least 1, got {levels}")
@@ -372,14 +423,29 @@ def rg_entropy_flow(
     gibbs = gibbs_space(k, n_sites)
     b = spec.block_size
     table_of = cache(partial(_rule_table, block_map))
-    codes = np.arange(gibbs.space.size, dtype=np.int64)
-    partitions: list[Partition] = []
-    for level in range(levels):
-        runs = [(t * b, b) for t in range(gibbs.n_sites // b ** (level + 1))]
-        codes = _block_codes(codes, runs, table_of)
-        partitions.append(Partition._from_labels(gibbs.space, codes))
-    coarse = PartitionFlow(gibbs.space, tuple(partitions), "coarse-graining")
-    entropies = tuple(entropy(p) for p in partitions)
+
+    def runs(level: int) -> list[tuple[int, int]]:
+        return [(t * b, b) for t in range(gibbs.n_sites // b ** (level + 1))]
+
+    codes = _block_codes(np.arange(gibbs.space.size, dtype=np.int64), runs(0), table_of)
+    level0 = Partition._from_labels(gibbs.space, codes)
+    quotient = FiniteProbabilitySpace._from_distinct_ids(
+        range(level0.n_atoms), level0._masses
+    )
+    # the level-0 code of each atom; zero-weight points write the last slot
+    atom_codes = np.empty(level0.n_atoms + 1, dtype=np.int64)
+    atom_codes[level0.atom_index_array] = codes
+    atom_codes = atom_codes[:-1]
+    partitions = [Partition.discrete(quotient)]
+    for level in range(1, levels):
+        atom_codes = _block_codes(atom_codes, runs(level), table_of)
+        partitions.append(Partition._from_labels(quotient, atom_codes))
+    flow = PartitionFlow(quotient, tuple(partitions), "coarse-graining")
+    masses = [level0._masses] + [
+        _label_masses(gibbs.space.weight_array, _through(q, level0), q.n_atoms)
+        for q in partitions[1:]
+    ]
+    entropies = tuple(shannon_bits(m) for m in masses)
     if levels == 1:
         trivial = LimitPointVerdict("witnessed", 0, 0.0)
         coarse_verdict = refinement_verdict = trivial
@@ -393,7 +459,8 @@ def rg_entropy_flow(
         levels=levels,
         entropies=entropies,
         atom_counts=tuple(p.n_atoms for p in partitions),
-        coarse_flow=coarse,
+        level0=level0,
+        quotient_flow=flow,
         coarse_verdict=coarse_verdict,
         refinement_verdict=refinement_verdict,
     )

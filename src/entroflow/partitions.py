@@ -50,12 +50,18 @@ def shannon_bits(probabilities: Iterable[float] | np.ndarray) -> float:
     convention). The input is assumed to be a valid distribution; use
     :class:`AtomDistribution` when validation is wanted.
     """
-    p = np.asarray(probabilities, dtype=float)
-    pos = p[p > 0.0]
-    if pos.size == 0:
+    p = np.asarray(probabilities, dtype=float).ravel()
+    if p.size == 0:
         return 0.0
-    # the + 0.0 turns a signed zero from rounding into plain 0.0
-    return float(-(pos * np.log2(pos)).sum()) + 0.0
+    if not p.min() > 0.0:
+        p = p[p > 0.0]
+        if p.size == 0:
+            return 0.0
+    terms = np.log2(p)
+    np.multiply(p, terms, out=terms)
+    # negating the sum gives the bytes of summing the negated terms; the
+    # + 0.0 turns a signed zero from rounding into plain 0.0
+    return float(-terms.sum()) + 0.0
 
 
 def _check_probabilities(p: np.ndarray, one: str, many: str) -> None:
@@ -76,15 +82,20 @@ def _check_probabilities(p: np.ndarray, one: str, many: str) -> None:
         raise ValidationError(f"unnormalized {many} (sum {sums.tolist()})")
 
 
-def _weight_vector(weights: Sequence[float] | np.ndarray) -> np.ndarray:
-    """The weights as a new flat float64 array, or a :class:`ValidationError`."""
+def _float_array(values, what: str, ndim: int = 1) -> np.ndarray:
+    """``values`` as a new float64 array with ``ndim`` axes, or a :class:`ValidationError`.
+
+    Entries that are not numbers and ragged rows are refused by name
+    instead of surfacing as numpy's own ``ValueError``.
+    """
     try:
-        w = np.array(weights, dtype=float)
+        a = np.array(values, dtype=float)
     except (TypeError, ValueError):
-        w = None
-    if w is None or w.ndim != 1:
-        raise ValidationError("weights must be a flat sequence of numbers")
-    return w
+        a = None
+    if a is None or a.ndim != ndim:
+        shape = "flat sequence" if ndim == 1 else "rectangular table"
+        raise ValidationError(f"{what} must be a {shape} of numbers")
+    return a
 
 
 def _count_distinct(point_ids: Sequence[Hashable]) -> int:
@@ -139,7 +150,7 @@ class FiniteProbabilitySpace:
         weights: Sequence[float] | np.ndarray,
         distinct: bool,
     ) -> None:
-        w = _weight_vector(weights)
+        w = _float_array(weights, "weights")
         if len(point_ids) == 0:
             raise ValidationError("a probability space needs at least one point")
         if len(point_ids) != len(w):
@@ -216,7 +227,7 @@ def make_space(
     if not isinstance(weights, np.ndarray):
         weights = list(weights)
     if normalize:
-        w = _weight_vector(weights)
+        w = _float_array(weights, "weights")
         if np.any(w < 0.0):
             raise ValidationError(f"negative weight: min is {float(w.min())!r}")
         total = float(w.sum())
@@ -233,7 +244,7 @@ class AtomDistribution:
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=float)
+        p = _float_array(self.probabilities, "atom probabilities")
         if p.size == 0:
             raise ValidationError("empty atom distribution")
         _check_probabilities(p, "atom probability", "atom probabilities")
@@ -294,6 +305,33 @@ def _point_indices(atom: Iterable[int]) -> list[int]:
         except TypeError:
             break
     raise ValidationError(f"point index {entry!r} is not an integer")
+
+
+def _label_runs(labels: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Point indices grouped by label, and where each atom's run starts.
+
+    ``labels`` holds 0 .. n_atoms - 1 per point, or -1 for a point in no
+    atom; those points form a leading run that no atom uses.
+    """
+    keys = labels + 1
+    counts = np.bincount(keys, minlength=n_atoms + 1)
+    if n_atoms < 1 << 16:
+        # the same stable order; numpy sorts 16-bit keys by radix
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable"), np.cumsum(counts)[:-1]
+
+
+def _label_masses(weights: np.ndarray, labels: np.ndarray, n_atoms: int) -> np.ndarray:
+    """The total weight of each label 0 .. n_atoms - 1, read-only.
+
+    Each atom's weights are summed pairwise in point order, as ``np.sum``
+    does; a running sum over 2^15 points per atom would drift by up to
+    1e-11 relative in the entropy.
+    """
+    order, starts = _label_runs(labels, n_atoms)
+    masses = np.add.reduceat(weights[order], starts)
+    masses.setflags(write=False)
+    return masses
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,33 +438,13 @@ class Partition:
     @cached_property
     def atoms(self) -> tuple[frozenset[int], ...]:
         """Atoms as frozensets of point indices, in label order."""
-        order, starts = self._runs()
+        order, starts = _label_runs(self.atom_index_array, self.n_atoms)
         return tuple(frozenset(g.tolist()) for g in np.split(order, starts)[1:])
 
     @cached_property
     def _masses(self) -> np.ndarray:
-        """Atom probabilities, read-only, computed once per partition.
-
-        Each atom's weights are summed pairwise in point order, as
-        ``np.sum`` does; a running sum over 2^15 points per atom would
-        drift by up to 1e-11 relative in the entropy.
-        """
-        order, starts = self._runs()
-        masses = np.add.reduceat(self.space.weight_array[order], starts)
-        masses.setflags(write=False)
-        return masses
-
-    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Point indices grouped by label, and where each atom's run starts.
-
-        Zero-weight points (label -1) form a leading run that no atom uses.
-        """
-        keys = self.atom_index_array + 1
-        counts = np.bincount(keys, minlength=self.n_atoms + 1)
-        if self.n_atoms < 1 << 16:
-            # the same stable order; numpy sorts 16-bit keys by radix
-            keys = keys.astype(np.uint16)
-        return np.argsort(keys, kind="stable"), np.cumsum(counts)[:-1]
+        """Atom probabilities, read-only, computed once per partition."""
+        return _label_masses(self.space.weight_array, self.atom_index_array, self.n_atoms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):

@@ -157,6 +157,10 @@ class TestSymbolicSystem:
              "negative marginal probability: min is -0.5"),
             (lambda: SymbolicSystem((0.5, 0.5), ((1.0,),)),
              "transition shape (1, 1) does not match alphabet size 2"),
+            (lambda: SymbolicSystem((0.5, 0.5), ((1.0,), (0.5, 0.5))),
+             "transition entries must be a rectangular table of numbers"),
+            (lambda: SymbolicSystem(("a", "b")),
+             "marginal probabilities must be a flat sequence of numbers"),
         ],
     )
     def test_rejection_messages(self, build, message):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import flows, lattice
+from entroflow import flows, lattice, partitions
 from entroflow import (
     DEFAULT_CONFIG_CAP,
     ENV_CONFIG_CAP,
+    FlowDirectionError,
     CouplingVector,
     LatticeSpec,
     Partition,
@@ -26,6 +27,7 @@ from entroflow import (
     majority_first_site,
     make_space,
     rg_entropy_flow,
+    shannon_bits,
     spin_configurations,
 )
 
@@ -518,7 +520,7 @@ class TestOnePathThroughTheFlow:
     def test_nesting_checked_once_and_entropies_computed_once(
         self, monkeypatch, sites, block, levels
     ):
-        calls = {"is_coarsening": 0, "entropy": 0}
+        calls = {"is_coarsening": 0, "entropy": 0, "shannon_bits": 0}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -529,9 +531,143 @@ class TestOnePathThroughTheFlow:
 
         monkeypatch.setattr(flows, "is_coarsening", counting("is_coarsening", is_coarsening))
         monkeypatch.setattr(flows, "entropy", counting("entropy", entropy))
-        monkeypatch.setattr(lattice, "entropy", counting("entropy", entropy))
+        monkeypatch.setattr(
+            lattice, "shannon_bits", counting("shannon_bits", shannon_bits)
+        )
         rg_entropy_flow((0.2, -0.5), sites, block, levels)
-        assert calls == {"is_coarsening": levels - 1, "entropy": levels}
+        assert calls == {"is_coarsening": levels - 1, "entropy": 0, "shannon_bits": levels}
+
+
+@st.composite
+def flip_flows(draw):
+    """(|K| <= 3 couplings, sites, block size, levels), any block up to 12 sites."""
+    block = draw(st.integers(2, 12))
+    sites = draw(st.sampled_from(range(block, 13, block)))
+    legal = 1
+    while sites % block ** (legal + 1) == 0:
+        legal += 1
+    levels = draw(st.integers(1, legal))
+    coupling = st.floats(min_value=-3.0, max_value=3.0)
+    return (draw(coupling), draw(coupling)), sites, block, levels
+
+
+class TestSpinFlipSymmetry:
+    """H_k(K0, K1) = H_k(-K0, K1): a global flip maps the measure at K0 to -K0.
+
+    Majority ties go to the block's first spin, which flips with its
+    block, so every level variable flips too and the atoms of each level
+    are carried onto atoms of equal mass.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(flip_flows())
+    def test_field_sign_leaves_every_level_entropy(self, flow):
+        (k0, k1), sites, block, levels = flow
+        up = rg_entropy_flow((k0, k1), sites, block, levels)
+        down = rg_entropy_flow((-k0, k1), sites, block, levels)
+        assert up.atom_counts == down.atom_counts
+        assert np.abs(np.subtract(up.entropies, down.entropies)).max() <= 1e-14
+
+    def test_at_the_configuration_cap(self):
+        up = rg_entropy_flow((0.7, -1.3), 16, 2, 4)
+        down = rg_entropy_flow((-0.7, -1.3), 16, 2, 4)
+        assert up.atom_counts == down.atom_counts
+        assert np.abs(np.subtract(up.entropies, down.entropies)).max() <= 1e-14
+
+
+def last_site(block):
+    return block[:, -1]
+
+
+class TestQuotientLevels:
+    """Levels above 0 are computed once per level-0 atom, not per configuration."""
+
+    @pytest.mark.parametrize(
+        "k, sites, block, levels, block_map",
+        [
+            ((0.3, -0.8), 16, 2, 4, majority_first_site),
+            ((-1.1, 0.6), 9, 3, 2, majority_first_site),
+            ((0.4, 1.2), 16, 4, 2, majority_first_site),
+            ((0.2, -0.4), 15, 5, 1, majority_first_site),
+            ((0.5, 0.9), 16, 2, 4, last_site),
+            ((0.0, 0.0), 16, 2, 4, last_site),
+            # zero-weight configurations that drop whole atoms
+            ((300.0, 300.0), 16, 2, 4, majority_first_site),
+            ((0.0, -300.0), 16, 2, 4, majority_first_site),
+            ((0.0, 45.0), 16, 2, 4, majority_first_site),
+            ((40.0, -300.0), 16, 4, 2, majority_first_site),
+            ((-300.0, 1.0), 9, 3, 2, last_site),
+        ],
+    )
+    def test_levels_match_the_flow_on_the_gibbs_space(self, k, sites, block, levels, block_map):
+        r = rg_entropy_flow(k, sites, block, levels, block_map=block_map)
+        assert "coarse_flow" not in vars(r)
+        flow = r.coarse_flow
+        assert flow.direction == "coarse-graining"
+        assert flow[0] is r.level0
+        assert [p.n_atoms for p in flow] == list(r.atom_counts)
+        assert [entropy(p).hex() for p in flow] == [h.hex() for h in r.entropies]
+        quotient = r.quotient_flow.space
+        assert quotient.size == r.level0.n_atoms
+        assert quotient.weight_array.tobytes() == r.level0._masses.tobytes()
+        assert r.quotient_flow.direction == "coarse-graining"
+        assert [p.n_atoms for p in r.quotient_flow] == list(r.atom_counts)
+
+    def test_zero_weights_drop_atoms(self):
+        r = rg_entropy_flow((300.0, 300.0), 16, 2, 4)
+        assert (r.level0.space.weight_array == 0.0).any()
+        assert r.atom_counts[0] < 2 ** 8
+        assert (r.coarse_flow[1].atom_index_array == -1).sum() == (
+            r.level0.atom_index_array == -1
+        ).sum()
+
+    def test_coarse_flow_built_and_validated_on_first_read(self, monkeypatch):
+        r = rg_entropy_flow((0.2, 0.7), 16, 2, 4)
+        checked = []
+
+        def recording(coarse, fine):
+            checked.append(fine.space.size)
+            return is_coarsening(coarse, fine)
+
+        monkeypatch.setattr(flows, "is_coarsening", recording)
+        assert "coarse_flow" not in vars(r)
+        flow = r.coarse_flow
+        assert checked == [2**16] * 3
+        assert vars(r)["coarse_flow"] is flow is r.coarse_flow
+        assert checked == [2**16] * 3
+        for level, keys in enumerate(chained_level_keys(16, 2, 4)):
+            assert flow[level] == Partition._from_labels(flow.space, keys)
+
+    def test_nesting_failure_on_the_quotient_is_loud(self, monkeypatch):
+        monkeypatch.setattr(flows, "is_coarsening", lambda coarse, fine: False)
+        with pytest.raises(FlowDirectionError, match="step 0 -> 1"):
+            rg_entropy_flow((0.2, 0.7), 8, 2, 2)
+
+    @pytest.mark.parametrize("sites, block, levels", [(16, 2, 4), (16, 4, 2), (9, 3, 2)])
+    def test_no_configuration_sized_work_beyond_level_zero(
+        self, monkeypatch, sites, block, levels
+    ):
+        sizes = {"_block_codes": [], "_canonical_labels": [], "is_coarsening": []}
+
+        def recording(name, real, size_of):
+            def wrapper(*args, **kwargs):
+                sizes[name].append(size_of(*args))
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(lattice, "_block_codes", recording(
+            "_block_codes", lattice._block_codes, lambda codes, *rest: codes.size))
+        monkeypatch.setattr(partitions, "_canonical_labels", recording(
+            "_canonical_labels", partitions._canonical_labels, lambda w, keys: keys.size))
+        monkeypatch.setattr(flows, "is_coarsening", recording(
+            "is_coarsening", is_coarsening, lambda coarse, fine: fine.space.size))
+        r = rg_entropy_flow((0.1, -0.9), sites, block, levels)
+        full = 2**sites
+        atoms = r.atom_counts[0]
+        assert sizes["_block_codes"] == [full] + [atoms] * (levels - 1)
+        assert sizes["_canonical_labels"] == [full] + [atoms] * levels
+        assert sizes["is_coarsening"] == [atoms] * (levels - 1)
 
 
 @st.composite

@@ -169,6 +169,24 @@ class TestEntropy:
     def test_shannon_bits_empty_mass(self):
         assert shannon_bits([1.0, 0.0, 0.0]) == 0.0
         assert shannon_bits([0.5, 0.5]) == 1.0
+        assert shannon_bits([]) == 0.0
+        assert shannon_bits([0.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 1000, 2**20])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_shannon_bits_matches_the_filtered_sum(self, size, zeros):
+        # the terms are summed in the same order as the filtered expression,
+        # and negating the sum is negating every term, so the bytes agree
+        rng = np.random.default_rng(size)
+        p = rng.uniform(0.0, 1.0, size)
+        if zeros:
+            p[rng.integers(0, size, max(1, size // 3))] = 0.0
+        p = p / p.sum() if p.sum() > 0 else p
+        kept = p[p > 0.0]
+        expected = float(-(kept * np.log2(kept)).sum()) + 0.0 if kept.size else 0.0
+        got = shannon_bits(p)
+        assert got.hex() == expected.hex()
+        assert shannon_bits(p.tolist()).hex() == expected.hex()
 
 
 class TestCanonicalForm:
@@ -552,6 +570,8 @@ NOT_FLAT = "weights must be a flat sequence of numbers"
         (lambda: make_space("ab", [0.5, "x"]), NOT_FLAT),
         (lambda: make_space("ab", [[0.5], [0.5]]), NOT_FLAT),
         (lambda: FiniteProbabilitySpace("ab", 1.0), NOT_FLAT),
+        (lambda: AtomDistribution(("x",)),
+         "atom probabilities must be a flat sequence of numbers"),
     ],
 )
 def test_space_messages_print_plain_values(build, message):
