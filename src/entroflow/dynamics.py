@@ -372,12 +372,18 @@ def _joins(
     the exact probability vector of the length-n words reduced through the
     symbol partition (the generating partition when ``partition`` is
     None), and fails before it would hold more than ``cap`` entries. The
-    words grow by one broadcast product with the step, the row p of a
-    Bernoulli shift or the matrix Q of a Markov shift; a lumped Bernoulli
-    shift is the Bernoulli shift of its group masses. A lumped Markov
-    alphabet grows a table over (reduced word, current symbol), since the
-    next symbol's law depends on the current symbol and not on its group.
-    The inputs are checked on the first ``next``, before anything is yielded.
+    words grow by one product with the step, the row p of a Bernoulli
+    shift or the matrix Q of a Markov shift (see ``_grow_words``); a lumped
+    Bernoulli shift is the Bernoulli shift of its group masses. A lumped
+    Markov alphabet grows a table over (reduced word without its last
+    group, current symbol), since the next symbol's law depends on the
+    current symbol and not on its group, and the current symbol fixes the
+    last group. The table holds groups^(n-1) x m entries at length n; a
+    group word's mass is the sum of its group's columns, and each group's
+    rows grow by one matrix product with that group's rows of Q. The cap
+    still counts groups^n x m entries, the size of a table keyed on the
+    whole reduced word. The inputs are checked on the first ``next``,
+    before anything is yielded.
     """
     if isinstance(system, PermutationSystem):
         if partition is None:
@@ -402,26 +408,77 @@ def _joins(
     else:
         step = np.asarray(system.transition, dtype=float)
     m = p.size
-    symbols = np.arange(m)
-    if system.transition is None or np.array_equal(labels, symbols):
+    if system.transition is None or np.array_equal(labels, np.arange(m)):
         _check_cap(m, cap)
         words = p
         yield words
         for _ in range(1, n_max):
             _check_cap(words.size * m, cap)
-            words = (words.reshape(-1, m, 1) * step).reshape(-1)
+            words = _grow_words(words, step)
             yield words
         return
+    # symbols sorted by group, stably, so that each group is a column range
+    order = np.argsort(labels, kind="stable")
+    edges = np.searchsorted(labels[order], np.arange(groups + 1)).tolist()
+    spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    step = step[np.ix_(order, order)]
     _check_cap(groups * m, cap)
-    table = np.zeros((groups, m))
-    table[labels, symbols] = p
-    yield table.sum(axis=1)
+    table = p[order].reshape(1, m)
+    yield _group_masses(table, spans)
     for _ in range(1, n_max):
-        _check_cap(table.shape[0] * groups * m, cap)
-        grown = np.zeros((table.shape[0], groups, m))
-        grown[:, labels, symbols] = table @ step
+        # the next length counts groups^2 times this table's entries
+        _check_cap(table.size * groups**2, cap)
+        grown = np.empty((table.shape[0], groups, m))
+        for g, span in enumerate(spans):
+            np.matmul(table[:, span], step[span], out=grown[:, g])
         table = grown.reshape(-1, m)
-        yield table.sum(axis=1)
+        yield _group_masses(table, spans)
+
+
+def _group_masses(table: np.ndarray, spans: list[slice]) -> np.ndarray:
+    """The group-word masses: each row's sum over each group's columns.
+
+    Row w and group g give entry ``w * len(spans) + g``. The columns are added one at a time, each addition over all rows; a
+    sum along each row would run numpy's inner loop over a few entries.
+    """
+    masses = np.empty((table.shape[0], len(spans)))
+    for g, span in enumerate(spans):
+        mass = masses[:, g]
+        np.copyto(mass, table[:, span.start])
+        for column in range(span.start + 1, span.stop):
+            np.add(mass, table[:, column], out=mass)
+    return masses.reshape(-1)
+
+
+#: Largest alphabet whose word step is written one strided output column
+#: per call, by the number of axes of the step (1 for a Bernoulli row, 2
+#: for a Markov matrix). The calls then run over the long axis of the
+#: words; past these sizes the strided writes cost more than broadcasting,
+#: whose inner loop runs over the short axis of m symbols.
+_COLUMN_STEP_MAX = {1: 6, 2: 3}
+
+
+def _grow_words(words: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The masses of the words one symbol longer, in the order of ``words``.
+
+    Word w followed by symbol b has mass ``words[w] * step[b]`` under a
+    Bernoulli row and ``words[w] * step[a, b]`` under a Markov matrix,
+    where a is the last symbol of w. Both loops compute the same products.
+    """
+    m = step.shape[-1]
+    if m > _COLUMN_STEP_MAX[step.ndim]:
+        return (words.reshape(-1, m, 1) * step).reshape(-1)
+    grown = np.empty((words.size, m))
+    if step.ndim == 1:
+        for b in range(m):
+            np.multiply(words, step[b], out=grown[:, b])
+    else:
+        last = words.reshape(-1, m)
+        cells = grown.reshape(-1, m, m)
+        for a in range(m):
+            for b in range(m):
+                np.multiply(last[:, a], step[a, b], out=cells[:, a, b])
+    return grown.reshape(-1)
 
 
 def iterated_join(

@@ -57,11 +57,35 @@ def shannon_bits(probabilities: Iterable[float] | np.ndarray) -> float:
         p = p[p > 0.0]
         if p.size == 0:
             return 0.0
-    terms = np.log2(p)
-    np.multiply(p, terms, out=terms)
+    buffer = np.empty(min(p.size, _TERM_BLOCK))
     # negating the sum gives the bytes of summing the negated terms; the
     # + 0.0 turns a signed zero from rounding into plain 0.0
-    return float(-terms.sum()) + 0.0
+    return float(-_sum_of_terms(p, buffer)) + 0.0
+
+
+#: Entries per block of ``shannon_bits`` terms, computed in one buffer.
+_TERM_BLOCK = 2**15
+
+
+def _sum_of_terms(p: np.ndarray, buffer: np.ndarray) -> np.float64:
+    """The sum of p log2 p, one block of terms at a time in ``buffer``.
+
+    numpy sums a contiguous float64 vector pairwise: it splits a vector
+    longer than 128 entries after half its length, rounded down to a
+    multiple of 8, and adds the sums of the two pieces. Splitting the same
+    way until a piece fits the buffer and letting numpy sum each piece
+    gives the bytes of one sum over all the terms, without a temporary as
+    long as ``p``.
+    """
+    n = p.size
+    if n <= buffer.size:
+        terms = buffer[:n]
+        np.log2(p, out=terms)
+        np.multiply(p, terms, out=terms)
+        return terms.sum()
+    half = n // 2
+    half -= half % 8
+    return _sum_of_terms(p[:half], buffer) + _sum_of_terms(p[half:], buffer)
 
 
 def _check_probabilities(p: np.ndarray, one: str, many: str) -> None:

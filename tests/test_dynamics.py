@@ -32,6 +32,7 @@ from entroflow import (
     theorem_limit_point_check,
     verify_generating_map,
 )
+from entroflow.dynamics import _joins
 
 # frozen closed-form rate of Q = [[0.9, 0.1], [0.5, 0.5]] under pi = (5/6, 1/6),
 # independently evaluated as -sum_i pi_i sum_j Q_ij log2 Q_ij
@@ -564,7 +565,12 @@ def _brute_force_reduced_words(system, atoms, n):
     for before, after in zip(digits, digits[1:]):
         probability = probability * q[before, after]
         reduced = reduced * count + group[after]
-    return np.bincount(reduced, weights=probability, minlength=count**n)
+    # math.fsum rounds each reduced word's mass once, so the reference is
+    # as close as its products (an accumulating sum drifts by 1e-15 relative)
+    order = np.argsort(reduced, kind="stable")
+    starts = np.searchsorted(reduced[order], np.arange(count**n + 1))
+    probability = probability[order]
+    return np.array([math.fsum(probability[a:b]) for a, b in zip(starts, starts[1:])])
 
 
 def _entropy_bits(probabilities):
@@ -599,6 +605,73 @@ def test_lumped_bernoulli_is_the_shift_of_its_group_masses():
     # groups^n words are held, not a groups^n x m table
     with pytest.raises(ResourceCapError, match="needs 2048 entries"):
         iterated_join(system, halves, 11, cap=2**10)
+
+
+#: A four-symbol chain for the lumped-Markov word tests.
+Q_FOUR = [[0.5, 0.2, 0.2, 0.1], [0.1, 0.6, 0.1, 0.2],
+          [0.25, 0.25, 0.25, 0.25], [0.3, 0.1, 0.4, 0.2]]
+
+
+class TestWordEngine:
+    """The word steps against the broadcast formula and the brute force."""
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    @pytest.mark.parametrize("kind", ["bernoulli", "markov"])
+    def test_generating_words_equal_the_broadcast_step(self, kind, m):
+        rng = np.random.default_rng(m)
+        if kind == "bernoulli":
+            system = SymbolicSystem.bernoulli(rng.dirichlet(np.ones(m)).tolist())
+            step = np.array(system.marginal)
+        else:
+            system = SymbolicSystem.markov(rng.dirichlet(np.ones(m), size=m).tolist())
+            step = np.array(system.transition)
+        n_max = int(np.log(2**15) / np.log(m))
+        joins = list(_joins(system, None, n_max, 2**15))
+        assert len(joins) == n_max
+        assert np.array_equal(joins[0], np.array(system.marginal))
+        for words, grown in zip(joins, joins[1:]):
+            assert np.array_equal(grown, (words.reshape(-1, m, 1) * step).reshape(-1))
+
+    @pytest.mark.parametrize(
+        "q,atoms,n",
+        [
+            # three groups, of sizes 2, 1 and 2
+            ([[0.4, 0.1, 0.2, 0.1, 0.2], [0.2, 0.3, 0.1, 0.3, 0.1],
+              [0.1, 0.2, 0.4, 0.2, 0.1], [0.3, 0.1, 0.1, 0.2, 0.3],
+              [0.2, 0.2, 0.2, 0.2, 0.2]],
+             [[0, 3], [1], [2, 4]], 5),
+            # unequal groups, not in symbol order
+            (Q_FOUR, [[0, 1, 3], [2]], 7),
+            (Q_FOUR, [[1], [0, 2, 3]], 7),
+            # symbol 3 is transient, of stationary weight zero
+            ([[0.7, 0.2, 0.1, 0.0], [0.3, 0.3, 0.4, 0.0],
+              [0.1, 0.6, 0.3, 0.0], [0.25, 0.25, 0.25, 0.25]],
+             [[0, 2], [1]], 7),
+        ],
+    )
+    def test_lumped_markov_words_match_brute_force(self, q, atoms, n):
+        system = SymbolicSystem.markov(q)
+        partition = Partition(system.symbol_space, atoms)
+        joins = list(_joins(system, partition, n, 2**20))
+        for k, words in enumerate(joins, start=1):
+            expected = _brute_force_reduced_words(system, atoms, k)
+            assert words.shape == expected.shape
+            np.testing.assert_allclose(words, expected, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_lumped_markov_cap_counts_groups_to_the_n_times_m(self, n):
+        # the table holds groups^(n-1) x m entries, the cap counts groups^n x m
+        system = SymbolicSystem.markov(
+            [[0.5, 0.3, 0.2], [0.2, 0.2, 0.6], [0.1, 0.6, 0.3]])
+        partition = Partition(system.symbol_space, [[0, 2], [1]])
+        needed = 2**n * 3
+        words = iterated_join(system, partition, n, cap=needed)
+        assert len(words) == 2**n
+        message = (f"word enumeration needs {needed} entries, over the cap of "
+                   f"{needed - 1}; raise the cap explicitly or lower n_max")
+        with pytest.raises(ResourceCapError) as caught:
+            iterated_join(system, partition, n, cap=needed - 1)
+        assert str(caught.value) == message
 
 
 class TestParseSystemSpec:

@@ -22,6 +22,7 @@ from entroflow import (
     pullback_partition,
     shannon_bits,
 )
+from entroflow.partitions import _TERM_BLOCK
 
 TOL = 1e-12
 
@@ -172,18 +173,25 @@ class TestEntropy:
         assert shannon_bits([]) == 0.0
         assert shannon_bits([0.0, 0.0]) == 0.0
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 1000, 2**20])
+    @pytest.mark.parametrize(
+        "size",
+        [1, 2, 3, 1000, _TERM_BLOCK - 1, _TERM_BLOCK, _TERM_BLOCK + 1,
+         2 * _TERM_BLOCK + 9, 3**11, 999_983, 2**20],
+    )
     @pytest.mark.parametrize("zeros", [False, True])
     def test_shannon_bits_matches_the_filtered_sum(self, size, zeros):
-        # the terms are summed in the same order as the filtered expression,
+        # the terms are summed block by block in numpy's pairwise order,
         # and negating the sum is negating every term, so the bytes agree
+        # with one numpy sum over the positive entries; ``size`` of them
+        # are positive, and the zeros fall between them
         rng = np.random.default_rng(size)
-        p = rng.uniform(0.0, 1.0, size)
+        kept = rng.uniform(0.0, 1.0, size)
+        kept /= kept.sum()
+        p = kept
         if zeros:
-            p[rng.integers(0, size, max(1, size // 3))] = 0.0
-        p = p / p.sum() if p.sum() > 0 else p
-        kept = p[p > 0.0]
-        expected = float(-(kept * np.log2(kept)).sum()) + 0.0 if kept.size else 0.0
+            spots = rng.integers(0, size + 1, max(1, size // 3))
+            p = np.insert(kept, spots, 0.0)
+        expected = float(-(kept * np.log2(kept)).sum()) + 0.0
         got = shannon_bits(p)
         assert got.hex() == expected.hex()
         assert shannon_bits(p.tolist()).hex() == expected.hex()
