@@ -175,6 +175,22 @@ def _write(args, output: _Output) -> None:
         sys.stdout.write(text)
 
 
+def _is_tolerance(value: float) -> bool:
+    """The one rule for a tolerance: finite and positive (NaN fails)."""
+    return 0.0 < value < math.inf
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tol`` and ``--epsilon``: a float meeting the rule."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not _is_tolerance(value):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with one-line diagnostics instead of usage dumps."""
 
@@ -217,7 +233,7 @@ def _parser() -> _Parser:
     p.add_argument("--nmax", type=int, default=16)
     p.add_argument("--partition", help="atoms as a JSON list of index lists")
     p.add_argument("--cap", type=int, default=dynamics.DEFAULT_WORD_CAP)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--out", help="write rows (n, H_n, H_n/n) here")
     p.add_argument("--format", choices=_FORMATS, default="delimited")
 
@@ -225,7 +241,7 @@ def _parser() -> _Parser:
     p.add_argument("--v0", type=float, required=True)
     p.add_argument("--v1", type=float, required=True)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--out", help="write rows (step, V0, V1, c) here")
     p.add_argument(
         "--sweep-random",
@@ -245,7 +261,7 @@ def _parser() -> _Parser:
         action="store_true",
         help="compare against full enumeration (N <= 20)",
     )
-    p.add_argument("--tol", type=float, default=1e-12, help="oracle agreement bound")
+    p.add_argument("--tol", type=_tolerance, default=1e-12, help="oracle agreement bound")
     p.add_argument("--out", help="also write the record here")
 
     p = sub.add_parser("entropy-flow", help="block-spin entropy profile")
@@ -260,7 +276,7 @@ def _parser() -> _Parser:
     p = sub.add_parser("theorem-check", help="plateau verdict vs rate estimate")
     p.add_argument("--system", required=True, help="bernoulli:..., markov:..., cycle:N")
     p.add_argument("--partition", help="atoms as a JSON list of index lists")
-    p.add_argument("--epsilon", type=float, default=flows.DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=_tolerance, default=flows.DEFAULT_EPSILON)
     p.add_argument("--window", type=int, help="plateau window, default 8 clipped")
     p.add_argument("--nmax", type=int, default=24)
     p.add_argument("--cap", type=int, default=dynamics.DEFAULT_WORD_CAP)
@@ -356,7 +372,7 @@ def _cmd_partition(args) -> _Output:
             {
                 "name": name,
                 "atom_count": p.n_atoms,
-                "atom_probabilities": list(atom_probabilities(p).probabilities),
+                "atom_probabilities": list(atom_probabilities(p)),
                 "entropy_bits": entropy(p),
             }
             for name, p in named
@@ -601,11 +617,11 @@ def validate_config(path: str | Path) -> ExperimentConfig:
     The file is a JSON object with keys ``subcommand`` (one of the CLI
     subcommands), ``params`` (flag values for it, underscores for
     hyphens), optional ``output`` ({"format", "path"}) and optional
-    ``tolerances`` (positive numbers). The only tolerance is ``tol``, and
-    only for subcommands with a ``--tol`` flag (``ks``, ``ising-rg``,
-    ``ising-z``); a ``tol`` under ``params`` takes precedence. All
-    violations are collected into one :class:`ConfigError` instead of
-    stopping at the first.
+    ``tolerances`` (finite, positive numbers). The only tolerance is
+    ``tol``, and only for subcommands with a ``--tol`` flag (``ks``,
+    ``ising-rg``, ``ising-z``); a ``tol`` under ``params`` takes
+    precedence. All violations are collected into one
+    :class:`ConfigError` instead of stopping at the first.
     """
     try:
         text = Path(path).read_text()
@@ -684,7 +700,7 @@ def validate_config(path: str | Path) -> ExperimentConfig:
         for key, value in raw_tol.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 violations.append(f"tolerance {key!r} must be a number")
-            elif value <= 0:
+            elif not _is_tolerance(value):
                 violations.append(f"tolerance {key!r} must be positive")
             elif flags and key not in accepted:
                 if key in allowed:
@@ -693,7 +709,7 @@ def validate_config(path: str | Path) -> ExperimentConfig:
                     hint = _suggest(key, accepted)
                 violations.append(f"tolerance {key!r} does not apply to {subcommand}{hint}")
             else:
-                tolerances[key] = float(value)
+                tolerances[key] = value
 
     if violations:
         raise ConfigError(violations)

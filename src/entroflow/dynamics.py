@@ -8,8 +8,8 @@ the left shift with a Bernoulli or stationary Markov measure; there the
 n-th join of the generating partition is the exact distribution over
 length-n cylinder words, computed by recursion over words (never by
 sampling) under a hard word-count cap. One join generator serves both
-kinds: it yields the n-fold joins in order, and the block entropies, the
-single n-fold join and the generating-map check all read from it.
+kinds: it yields the n-fold joins in order, and the block entropies read
+from it.
 
 The information production rate h(P, T) is estimated from the exact block
 entropies H_n as the last increment H_n - H_{n-1}. For stationary product
@@ -19,10 +19,6 @@ plateaus, which is what makes the rate estimate comparable against the
 closed-form Markov rate without any asymptotic fitting. The H_n / n
 sequence is reported alongside for reference; it approaches the same
 limit but only at O(1/n) speed.
-
-The supremum of rates over a finite family of partitions is an honest
-lower bound for the true supremum over all partitions, and that is how
-``ks_entropy_family`` and ``is_chaotic`` are to be read.
 """
 
 from __future__ import annotations
@@ -30,17 +26,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ResourceCapError, ValidationError
-from .flows import (
-    DEFAULT_EPSILON,
-    LimitPointVerdict,
-    PartitionFlow,
-    detect_entropy_plateau,
-)
+from .flows import DEFAULT_EPSILON, LimitPointVerdict, detect_entropy_plateau
 from .partitions import (
     DEFAULT_TOLERANCE,
     FiniteProbabilitySpace,
@@ -48,7 +39,6 @@ from .partitions import (
     _check_probabilities,
     _float_array,
     entropy,
-    is_coarsening,
     join,
     make_space,
     shannon_bits,
@@ -58,22 +48,16 @@ __all__ = [
     "DEFAULT_WORD_CAP",
     "MAX_CYCLE_POINTS",
     "MAX_WORD_CAP",
-    "CylinderDistribution",
     "InfoRateReport",
     "PermutationSystem",
     "SymbolicSystem",
     "TheoremCheckResult",
     "cyclic_system",
-    "generating_partition",
     "info_rate_report",
-    "is_chaotic",
-    "iterated_join",
-    "ks_entropy_family",
     "markov_entropy_rate",
     "parse_system_spec",
     "pullback_partition",
     "theorem_limit_point_check",
-    "verify_generating_map",
 ]
 
 #: Default cap on materialized word-distribution entries.
@@ -262,11 +246,6 @@ def _stationary_vector(q: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def generating_partition(system: SymbolicSystem) -> Partition:
-    """One atom per symbol, the partition whose joins are the cylinders."""
-    return Partition.discrete(system.symbol_space)
-
-
 def markov_entropy_rate(
     stationary: Iterable[float],
     transition: Iterable[Iterable[float]],
@@ -295,31 +274,6 @@ def pullback_partition(system: PermutationSystem, partition: Partition) -> Parti
     return Partition._from_labels(
         system.space, partition.atom_index_array[system.mapping]
     )
-
-
-@dataclass(frozen=True, eq=False)
-class CylinderDistribution:
-    """Exact distribution over reduced words of a fixed length.
-
-    Stands in for the n-fold join on a symbolic system, whose atoms are
-    cylinder sets. ``labels`` records the symbol -> group map that reduced
-    the alphabet (identity for the generating partition).
-    """
-
-    word_length: int
-    group_count: int
-    labels: tuple[int, ...]
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.probabilities.setflags(write=False)
-
-    @property
-    def entropy_bits(self) -> float:
-        return shannon_bits(self.probabilities)
-
-    def __len__(self) -> int:
-        return int(self.probabilities.size)
 
 
 def _symbol_labels(system: SymbolicSystem, partition: Partition | None) -> np.ndarray:
@@ -481,35 +435,6 @@ def _grow_words(words: np.ndarray, step: np.ndarray) -> np.ndarray:
     return grown.reshape(-1)
 
 
-def iterated_join(
-    system: PermutationSystem | SymbolicSystem,
-    partition: Partition | None,
-    n: int,
-    *,
-    cap: int = DEFAULT_WORD_CAP,
-) -> Partition | CylinderDistribution:
-    """The n-fold join of pullbacks, join_{k<n} T^{-k}P.
-
-    For a permutation system the result is an explicit partition and each
-    n + 1 result refines the n result. For a symbolic system it is the
-    exact length-n cylinder word distribution (reduced through the symbol
-    partition when one is given; default is the generating partition).
-    """
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
-    for joined in _joins(system, partition, n, cap):
-        pass
-    if isinstance(system, PermutationSystem):
-        return joined
-    labels = _symbol_labels(system, partition)
-    return CylinderDistribution(
-        word_length=n,
-        group_count=int(labels.max()) + 1,
-        labels=tuple(labels.tolist()),
-        probabilities=joined,
-    )
-
-
 @dataclass(frozen=True)
 class InfoRateReport:
     """Exact block entropies and the information production rate estimate.
@@ -565,35 +490,6 @@ def info_rate_report(
     )
 
 
-def ks_entropy_family(
-    system: PermutationSystem | SymbolicSystem,
-    family: Sequence[Partition],
-    n_max: int = 16,
-    *,
-    cap: int = DEFAULT_WORD_CAP,
-) -> float:
-    """Largest rate estimate over a finite family of partitions.
-
-    A lower bound for the supremum over all partitions, honest rather
-    than exhaustive: enlarging the family can only raise it.
-    """
-    if not family:
-        raise ValidationError("the partition family must not be empty")
-    return max(info_rate_report(system, p, n_max, cap=cap).h_estimate for p in family)
-
-
-def is_chaotic(
-    system: PermutationSystem | SymbolicSystem,
-    family: Sequence[Partition],
-    tol: float = 1e-6,
-    n_max: int = 16,
-    *,
-    cap: int = DEFAULT_WORD_CAP,
-) -> bool:
-    """True when the family-restricted rate supremum exceeds ``tol``."""
-    return ks_entropy_family(system, family, n_max, cap=cap) > tol
-
-
 @dataclass(frozen=True)
 class TheoremCheckResult:
     """Joint verdict of plateau detection and the rate estimate.
@@ -638,40 +534,6 @@ def theorem_limit_point_check(
         consistent=consistent,
         report=report,
     )
-
-
-def verify_generating_map(
-    system: PermutationSystem | SymbolicSystem,
-    ref_flow: PartitionFlow | None = None,
-    n_max: int | None = None,
-    *,
-    cap: int = DEFAULT_WORD_CAP,
-) -> bool:
-    """Check that a refinements' flow is the join flow of its first member.
-
-    For a permutation system, compares join_{k<n} T^{-k}(ref_flow[0])
-    against ref_flow[n-1] canonically for every n up to ``n_max`` (default
-    the flow length). For a symbolic system the cylinder flow is the
-    reference and cannot be materialized as finite partitions; there the
-    check verifies the consistency that makes it a refinements' flow,
-    namely that each length-(n+1) word distribution marginalizes onto the
-    length-n one within ``DEFAULT_TOLERANCE``.
-    """
-    if isinstance(system, PermutationSystem):
-        if ref_flow is None:
-            raise ValidationError("a permutation system needs an explicit flow")
-        limit = len(ref_flow) if n_max is None else min(n_max, len(ref_flow))
-        # every join is built, so the cap is enforced past a first mismatch
-        joins = _joins(system, ref_flow[0], limit, cap)
-        return all([joined == ref_flow[n] for n, joined in enumerate(joins)])
-    previous = None
-    for current in _joins(system, None, 8 if n_max is None else n_max, cap):
-        if previous is not None:
-            marginal = current.reshape(-1, system.alphabet_size).sum(axis=1)
-            if float(np.abs(marginal - previous).max()) > DEFAULT_TOLERANCE:
-                return False
-        previous = current
-    return True
 
 
 def parse_system_spec(text: str) -> PermutationSystem | SymbolicSystem:

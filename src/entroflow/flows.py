@@ -14,7 +14,7 @@ in pseudo-distance while the underlying atoms keep moving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "detect_entropy_plateau",
     "detect_limit_point",
     "entropy_sequence",
-    "materialize_flow",
     "reverse",
 ]
 
@@ -85,38 +84,6 @@ class PartitionFlow:
 
     def __getitem__(self, n: int) -> Partition:
         return self.sequence[n]
-
-
-def materialize_flow(
-    producer: Iterable[Partition] | Callable[[int], Partition],
-    *,
-    horizon: int | None = None,
-    direction: str = UNVALIDATED,
-) -> PartitionFlow:
-    """Materialize a flow from a sequence, generator, or index function.
-
-    Generators and index functions are unbounded, so ``horizon`` is
-    mandatory for them; sized sequences may omit it.
-    """
-    if callable(producer):
-        if horizon is None:
-            raise ValidationError(
-                "a materialization horizon is required for an index function"
-            )
-        members = [producer(n) for n in range(horizon)]
-    else:
-        if horizon is None and not hasattr(producer, "__len__"):
-            raise ValidationError(
-                "a materialization horizon is required for an unsized producer"
-            )
-        members = []
-        for n, p in enumerate(producer):
-            if horizon is not None and n >= horizon:
-                break
-            members.append(p)
-    if not members:
-        raise ValidationError("empty flow after materialization")
-    return PartitionFlow(members[0].space, tuple(members), direction)
 
 
 def reverse(flow: PartitionFlow) -> PartitionFlow:
@@ -187,7 +154,7 @@ def detect_entropy_plateau(
     ``window`` defaults to 8 clipped to the horizon; an explicit window
     longer than the horizon is an error rather than silently shrunk.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN fails too
         raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
     if horizon is None:
         horizon = min(DEFAULT_HORIZON, len(values))

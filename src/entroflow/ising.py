@@ -87,8 +87,7 @@ class VVector:
     """Exponentiated couplings V_i = exp(-K_i), the RG map's natural frame.
 
     Components must be positive; values above 1 are legitimate (they
-    encode negative couplings) and are exposed through
-    ``negative_coupling_flags`` rather than rejected.
+    encode negative couplings) and are accepted.
     """
 
     v0: float
@@ -98,10 +97,6 @@ class VVector:
         for name, value in (("v0", self.v0), ("v1", self.v1)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-
-    @property
-    def negative_coupling_flags(self) -> tuple[bool, bool]:
-        return (self.v0 > 1.0, self.v1 > 1.0)
 
     @property
     def couplings(self) -> CouplingVector:
@@ -386,7 +381,7 @@ def rg_trajectory(
     """
     if max_steps < 1:
         raise ValidationError(f"max_steps must be at least 1, got {max_steps}")
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails too
         raise ValidationError(f"tol must be positive, got {tol!r}")
     current = start
     steps: list[tuple[VVector, float]] = []

@@ -27,7 +27,6 @@ from .errors import SpaceMismatchError, ValidationError
 
 __all__ = [
     "DEFAULT_TOLERANCE",
-    "AtomDistribution",
     "FiniteProbabilitySpace",
     "Partition",
     "atom_probabilities",
@@ -47,8 +46,8 @@ def shannon_bits(probabilities: Iterable[float] | np.ndarray) -> float:
     """Shannon entropy of a probability vector, in bits.
 
     Entries equal to zero contribute nothing (the 0 log 0 = 0 limit
-    convention). The input is assumed to be a valid distribution; use
-    :class:`AtomDistribution` when validation is wanted.
+    convention). The input is assumed to be a valid distribution and is
+    not checked.
     """
     p = np.asarray(probabilities, dtype=float).ravel()
     if p.size == 0:
@@ -261,26 +260,6 @@ def make_space(
     return FiniteProbabilitySpace(point_ids, weights)
 
 
-@dataclass(frozen=True)
-class AtomDistribution:
-    """Probability vector over the atoms of a partition."""
-
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        p = _float_array(self.probabilities, "atom probabilities")
-        if p.size == 0:
-            raise ValidationError("empty atom distribution")
-        _check_probabilities(p, "atom probability", "atom probabilities")
-
-    @property
-    def entropy_bits(self) -> float:
-        return shannon_bits(self.probabilities)
-
-    def __len__(self) -> int:
-        return len(self.probabilities)
-
-
 def _canonical_labels(weights: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Number the distinct keys 0, 1, ... by first occurrence.
 
@@ -486,9 +465,13 @@ def _require_same_space(a: Partition, b: Partition, what: str) -> None:
         raise SpaceMismatchError(f"{what} requires partitions of the same space")
 
 
-def atom_probabilities(partition: Partition) -> AtomDistribution:
-    """Push the point weights through a partition."""
-    return AtomDistribution(tuple(partition._masses.tolist()))
+def atom_probabilities(partition: Partition) -> tuple[float, ...]:
+    """Push the point weights through a partition: the atom masses in label order.
+
+    The masses are sums of the space's weights, which were checked when
+    the space was built, so they are not checked again.
+    """
+    return tuple(partition._masses.tolist())
 
 
 def entropy(partition: Partition) -> float:

@@ -31,6 +31,20 @@ SAMPLE_DOC = {
 }
 
 
+# weights summing to 1 - 9.9998e-13, inside the rule; the masses of the
+# atoms {0, 2} and {1} sum to 1 - 1.0001e-12, outside it
+EDGE_DOC = {
+    "space": {
+        "ids": [0, 1, 2],
+        "weights": [0.2453351332883748, 0.3343077991040651, 0.4203570676065601],
+    },
+    "partitions": [{"name": "P", "atoms": [[0, 2], [1]]}],
+}
+
+ISING_Z_CHECKED = ["ising-z", "--k0", "0.3", "--k1", "0.5", "--n", "4",
+                   "--check-bruteforce"]
+
+
 def write_doc(tmp_path, doc, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -457,6 +471,68 @@ class TestExitCodes:
         assert "nonzero rate" in capsys.readouterr().err
 
 
+class TestToleranceRule:
+    """``--tol`` and ``--epsilon`` take only finite, positive numbers."""
+
+    # Before the rule, ising-z's routes, which agree to 4e-16 here, were
+    # reported as disagreeing under -1 (exit 4) and not compared under nan
+    # or inf (exit 0), and a nan epsilon made the witnessed plateau of
+    # cycle:4 inconclusive.
+    @pytest.mark.parametrize("value", ["-1", "0", "1e-400", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["ks", "--system", "cycle:4"], "--tol"),
+            (["ising-rg", "--v0", "0.7", "--v1", "0.9"], "--tol"),
+            (ISING_Z_CHECKED, "--tol"),
+            (["theorem-check", "--system", "cycle:4"], "--epsilon"),
+        ],
+    )
+    def test_refused(self, capsys, argv, flag, value):
+        assert run([*argv, f"{flag}={value}"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: argument {flag}: must be finite and positive, got {value}\n"
+        )
+
+    def test_not_a_number(self, capsys):
+        assert run([*ISING_Z_CHECKED, "--tol", "abc"]) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --tol: invalid float value: 'abc'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "tolerances, params, message",
+        [
+            ({"tol": math.nan}, {}, "tolerance 'tol' must be positive"),
+            ({"tol": math.inf}, {}, "tolerance 'tol' must be positive"),
+            ({}, {"tol": -1}, "argument --tol: must be finite and positive, got -1"),
+            ({}, {"tol": math.nan},
+             "argument --tol: must be finite and positive, got nan"),
+        ],
+    )
+    def test_config_follows_the_rule(self, tmp_path, capsys, tolerances, params, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "subcommand": "ising-z",
+            "params": {"k0": 0.3, "k1": 0.5, "n": 4, "check_bruteforce": True, **params},
+            "tolerances": tolerances,
+        }))
+        assert run(["--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_config_tolerance_past_the_double_range(self, tmp_path, capsys):
+        # json reads a 400-digit integer exactly; as a float it is inf
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"subcommand": "ks", "params": {"system": "cycle:4"}, '
+            '"tolerances": {"tol": 1' + "0" * 400 + "}}"
+        )
+        assert run(["--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: argument --tol: must be finite and positive, got 1000"
+        )
+
+
 class TestPartitionCommand:
     def test_structured_report(self, tmp_path, capsys):
         path = write_doc(tmp_path, SAMPLE_DOC)
@@ -490,6 +566,18 @@ class TestPartitionCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "name,atom_count,entropy_bits"
         assert lines[1] == "halves,2,1.0"
+
+    def test_atom_masses_are_not_checked_again(self, tmp_path, capsys):
+        path = write_doc(tmp_path, EDGE_DOC)
+        assert run(["partition", "--input", path]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["partitions"]
+        w = EDGE_DOC["space"]["weights"]
+        assert report["atom_probabilities"] == [w[0] + w[2], w[1]]
+        assert report["entropy_bits"] == 0.9192672189158511
+        assert run(["partition", "--input", path, "--format", "delimited"]) == 0
+        assert capsys.readouterr() == (
+            "name,atom_count,entropy_bits\nP,2,0.9192672189158511\n", ""
+        )
 
     def test_missing_file(self, capsys):
         assert run(["partition", "--input", "/nonexistent/doc.json"]) == 2

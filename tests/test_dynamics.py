@@ -6,33 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroflow import (
-    CylinderDistribution,
     Partition,
-    PartitionFlow,
     PermutationSystem,
-    REFINEMENT,
     ResourceCapError,
     SymbolicSystem,
-    UNVALIDATED,
     ValidationError,
     atom_probabilities,
     cyclic_system,
     entropy,
-    generating_partition,
     info_rate_report,
-    is_chaotic,
     is_coarsening,
-    iterated_join,
-    ks_entropy_family,
     make_space,
     markov_entropy_rate,
     parse_system_spec,
     pullback_partition,
     shannon_bits,
     theorem_limit_point_check,
-    verify_generating_map,
 )
-from entroflow.dynamics import _joins
+from entroflow.dynamics import DEFAULT_WORD_CAP, _joins
 
 # frozen closed-form rate of Q = [[0.9, 0.1], [0.5, 0.5]] under pi = (5/6, 1/6),
 # independently evaluated as -sum_i pi_i sum_j Q_ij log2 Q_ij
@@ -43,6 +34,12 @@ Q_REFERENCE = [[0.9, 0.1], [0.5, 0.5]]
 def halves(system):
     n = system.space.size
     return Partition(system.space, [range(n // 2), range(n // 2, n)])
+
+
+def nth_join(system, partition, n, cap=DEFAULT_WORD_CAP):
+    """The n-fold join, the last one the word engine yields."""
+    *_, joined = _joins(system, partition, n, cap)
+    return joined
 
 
 class TestPermutationSystem:
@@ -200,8 +197,9 @@ class TestSymbolicSystem:
             SymbolicSystem.markov([[0.5, 0.5], [1.0]])
 
     def test_generating_partition_is_discrete(self):
+        # one atom per symbol: the partition whose joins are the cylinders
         b = SymbolicSystem.bernoulli([0.5, 0.5])
-        assert generating_partition(b).n_atoms == 2
+        assert Partition.discrete(b.symbol_space).n_atoms == 2
 
 
 class TestPullback:
@@ -217,8 +215,7 @@ class TestPullback:
         p = Partition(s.space, [[0, 1], [2, 3]])
         pulled = pullback_partition(s, p)
         assert pulled == Partition(s.space, [[0, 3], [1, 2]])
-        probs = sorted(atom_probabilities(pulled).probabilities)
-        assert probs == sorted(atom_probabilities(p).probabilities)
+        assert sorted(atom_probabilities(pulled)) == sorted(atom_probabilities(p))
 
     def test_one_atom_stays_one_atom(self):
         s = cyclic_system(5)
@@ -235,11 +232,11 @@ class TestIteratedJoin:
     def test_n_one_is_the_partition(self):
         s = cyclic_system(4)
         p = halves(s)
-        assert iterated_join(s, p, 1) == p
+        assert nth_join(s, p, 1) == p
 
     def test_four_cycle_two_steps_gives_singletons(self):
         s = cyclic_system(4)
-        joined = iterated_join(s, halves(s), 2)
+        joined = nth_join(s, halves(s), 2)
         assert joined == Partition.discrete(s.space)
 
     def test_refinement_chain_for_permutations(self):
@@ -247,39 +244,33 @@ class TestIteratedJoin:
         space = make_space(list(range(8)), [0.125] * 8)
         system = PermutationSystem(space, tuple(int(x) for x in rng.permutation(8)))
         p = Partition(space, [[0, 1, 2], [3, 4], [5, 6, 7]])
-        previous = iterated_join(system, p, 1)
+        previous = nth_join(system, p, 1)
         for n in range(2, 6):
-            current = iterated_join(system, p, n)
+            current = nth_join(system, p, n)
             assert is_coarsening(previous, current)
             previous = current
 
     def test_fair_coin_cylinders(self):
         b = SymbolicSystem.bernoulli([0.5, 0.5])
-        words = iterated_join(b, None, 3)
-        assert isinstance(words, CylinderDistribution)
-        assert words.word_length == 3
+        words = nth_join(b, None, 3)
         assert len(words) == 8
-        assert np.allclose(words.probabilities, 0.125, atol=0, rtol=0)
-        assert words.entropy_bits == 3.0
+        assert np.allclose(words, 0.125, atol=0, rtol=0)
+        assert shannon_bits(words) == 3.0
 
     def test_lumped_symbols_reduce_the_words(self):
         # merging a uniform 4-letter alphabet in halves must look like a coin
         b = SymbolicSystem.bernoulli([0.25] * 4)
         p = Partition(b.symbol_space, [[0, 1], [2, 3]])
-        words = iterated_join(b, p, 5)
+        words = nth_join(b, p, 5)
         assert len(words) == 2**5
-        assert words.entropy_bits == pytest.approx(5.0, abs=1e-12)
-
-    def test_n_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            iterated_join(SymbolicSystem.bernoulli([0.5, 0.5]), None, 0)
+        assert shannon_bits(words) == pytest.approx(5.0, abs=1e-12)
 
     def test_word_cap(self):
         b = SymbolicSystem.bernoulli([0.5, 0.5])
         with pytest.raises(ResourceCapError, match="cap"):
-            iterated_join(b, None, 12, cap=2**10)
+            nth_join(b, None, 12, cap=2**10)
         # an explicit higher cap admits the same request
-        assert len(iterated_join(b, None, 12, cap=2**12)) == 4096
+        assert len(nth_join(b, None, 12, cap=2**12)) == 4096
 
 
 class TestInfoRateReport:
@@ -371,35 +362,6 @@ class TestMarkovEntropyRate:
             markov_entropy_rate([0.5, 0.5], Q_REFERENCE)
 
 
-class TestKsFamilyAndChaos:
-    def test_identity_family_rate_zero(self):
-        space = make_space(list(range(4)), [0.25] * 4)
-        ident = PermutationSystem(space, tuple(range(4)))
-        family = [Partition(space, [[0], [1, 2, 3]]), Partition.discrete(space)]
-        assert ks_entropy_family(ident, family, 6) == 0.0
-        assert not is_chaotic(ident, family)
-
-    def test_bernoulli_family_max(self):
-        b = SymbolicSystem.bernoulli([0.5, 0.5])
-        family = [generating_partition(b), Partition.trivial(b.symbol_space)]
-        assert ks_entropy_family(b, family, 8) == 1.0
-        assert is_chaotic(b, family)
-
-    def test_four_cycle_exhaustive_two_atom_family(self):
-        s = cyclic_system(4)
-        family = []
-        for mask in range(1, 8):  # proper nonempty bipartitions of 4 points
-            atom = [i for i in range(4) if mask & (1 << i)]
-            rest = [i for i in range(4) if i not in atom]
-            family.append(Partition(s.space, [atom, rest]))
-        assert ks_entropy_family(s, family, 12) == 0.0
-        assert not is_chaotic(s, family)
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(ValidationError):
-            ks_entropy_family(cyclic_system(3), [], 4)
-
-
 class TestTheoremCheck:
     def test_four_cycle_witnessed_and_consistent(self):
         s = cyclic_system(4)
@@ -432,40 +394,6 @@ class TestTheoremCheck:
         assert result.report.h_estimate == result.h_estimate
 
 
-class TestVerifyGeneratingMap:
-    def test_identity_with_constant_flow(self):
-        space = make_space(list(range(4)), [0.25] * 4)
-        ident = PermutationSystem(space, tuple(range(4)))
-        p = Partition(space, [[0, 1], [2, 3]])
-        flow = PartitionFlow(space, (p, p, p), REFINEMENT)
-        assert verify_generating_map(ident, flow)
-
-    def test_four_cycle_join_flow(self):
-        s = cyclic_system(4)
-        p = halves(s)
-        singles = Partition.discrete(s.space)
-        flow = PartitionFlow(s.space, (p, singles, singles, singles), REFINEMENT)
-        assert verify_generating_map(s, flow)
-
-    def test_identity_cannot_refine(self):
-        space = make_space(list(range(4)), [0.25] * 4)
-        ident = PermutationSystem(space, tuple(range(4)))
-        flow = PartitionFlow(
-            space,
-            (Partition(space, [[0, 1], [2, 3]]), Partition.discrete(space)),
-            REFINEMENT,
-        )
-        assert not verify_generating_map(ident, flow)
-
-    def test_permutation_requires_flow(self):
-        with pytest.raises(ValidationError):
-            verify_generating_map(cyclic_system(4))
-
-    def test_symbolic_marginal_consistency(self):
-        assert verify_generating_map(SymbolicSystem.markov(Q_REFERENCE))
-        assert verify_generating_map(SymbolicSystem.bernoulli([0.2, 0.3, 0.5]))
-
-
 class TestSharedProperties:
     """Invariants that hold across system kinds."""
 
@@ -496,8 +424,8 @@ class TestSharedProperties:
             space = make_space(list(range(n)), [1.0 / n] * n)
             system = PermutationSystem(space, tuple(int(x) for x in rng.permutation(n)))
             p = Partition(space, [[0], list(range(1, n))])
-            stable = iterated_join(system, p, n)
-            assert iterated_join(system, p, n + 3) == stable
+            stable = nth_join(system, p, n)
+            assert nth_join(system, p, n + 3) == stable
 
 
 @settings(max_examples=15, deadline=None)
@@ -583,10 +511,10 @@ def _entropy_bits(probabilities):
 def test_word_joins_match_brute_force(case):
     system, atoms, n = case
     partition = None if atoms is None else Partition(system.symbol_space, atoms)
-    words = iterated_join(system, partition, n)
+    words = nth_join(system, partition, n)
     expected = _brute_force_reduced_words(system, atoms, n)
-    assert words.probabilities.shape == expected.shape
-    assert np.abs(words.probabilities - expected).max() <= 1e-12
+    assert words.shape == expected.shape
+    assert np.abs(words - expected).max() <= 1e-12
     if n >= 2:
         report = info_rate_report(system, partition, n)
         brute = [_entropy_bits(_brute_force_reduced_words(system, atoms, k))
@@ -597,14 +525,12 @@ def test_word_joins_match_brute_force(case):
 def test_lumped_bernoulli_is_the_shift_of_its_group_masses():
     system = SymbolicSystem.bernoulli([0.1, 0.2, 0.3, 0.4])
     halves = Partition(system.symbol_space, [[0, 2], [1, 3]])
-    words = iterated_join(system, halves, 10, cap=2**10)
+    words = nth_join(system, halves, 10, cap=2**10)
     masses = SymbolicSystem.bernoulli([0.1 + 0.3, 0.2 + 0.4])
-    assert np.array_equal(words.probabilities,
-                          iterated_join(masses, None, 10).probabilities)
-    assert (words.group_count, words.labels) == (2, (0, 1, 0, 1))
+    assert np.array_equal(words, nth_join(masses, None, 10))
     # groups^n words are held, not a groups^n x m table
     with pytest.raises(ResourceCapError, match="needs 2048 entries"):
-        iterated_join(system, halves, 11, cap=2**10)
+        nth_join(system, halves, 11, cap=2**10)
 
 
 #: A four-symbol chain for the lumped-Markov word tests.
@@ -665,12 +591,12 @@ class TestWordEngine:
             [[0.5, 0.3, 0.2], [0.2, 0.2, 0.6], [0.1, 0.6, 0.3]])
         partition = Partition(system.symbol_space, [[0, 2], [1]])
         needed = 2**n * 3
-        words = iterated_join(system, partition, n, cap=needed)
+        words = nth_join(system, partition, n, cap=needed)
         assert len(words) == 2**n
         message = (f"word enumeration needs {needed} entries, over the cap of "
                    f"{needed - 1}; raise the cap explicitly or lower n_max")
         with pytest.raises(ResourceCapError) as caught:
-            iterated_join(system, partition, n, cap=needed - 1)
+            nth_join(system, partition, n, cap=needed - 1)
         assert str(caught.value) == message
 
 

@@ -15,7 +15,6 @@ from entroflow import (
     entropy,
     entropy_sequence,
     make_space,
-    materialize_flow,
     reverse,
 )
 
@@ -123,41 +122,6 @@ class TestReverse:
         assert sorted(map(hash, reverse(flow).sequence)) == sorted(map(hash, members))
 
 
-class TestMaterialize:
-    def test_from_index_function(self, eight):
-        sizes = [8, 4, 2, 1]
-        flow = materialize_flow(
-            lambda n: block_chain(eight, [sizes[n]])[0],
-            horizon=4,
-            direction=REFINEMENT,
-        )
-        assert len(flow) == 4
-
-    def test_index_function_needs_horizon(self, eight):
-        with pytest.raises(ValidationError, match="horizon"):
-            materialize_flow(lambda n: Partition.trivial(eight))
-
-    def test_generator_needs_horizon(self, eight):
-        def gen():
-            while True:
-                yield Partition.trivial(eight)
-
-        with pytest.raises(ValidationError, match="horizon"):
-            materialize_flow(gen())
-        flow = materialize_flow(gen(), horizon=3)
-        assert len(flow) == 3
-
-    def test_empty_sequence_is_refused(self):
-        with pytest.raises(ValidationError) as excinfo:
-            materialize_flow([])
-        assert str(excinfo.value) == "empty flow after materialization"
-
-    def test_sized_sequence_without_horizon(self, eight):
-        members = block_chain(eight, [8, 4])
-        flow = materialize_flow(members, direction=REFINEMENT)
-        assert len(flow) == 2
-
-
 class TestDetectPlateau:
     def test_constant_from_index_three(self):
         values = [3.0, 2.5, 1.7, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
@@ -190,6 +154,8 @@ class TestDetectPlateau:
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             detect_entropy_plateau([1.0, 1.0], epsilon=0.0)
+        with pytest.raises(ValidationError, match="epsilon must be positive, got nan"):
+            detect_entropy_plateau([1.0, 1.0], epsilon=float("nan"))
         with pytest.raises(ValidationError):
             detect_entropy_plateau([1.0, 1.0], window=1)
         with pytest.raises(ValidationError):

@@ -54,11 +54,6 @@ class TestCouplingTypes:
         assert back.k0 == pytest.approx(k.k0, abs=1e-12)
         assert back.k1 == pytest.approx(k.k1, abs=1e-12)
 
-    def test_negative_coupling_flags(self):
-        assert VVector(0.5, 0.9).negative_coupling_flags == (False, False)
-        assert VVector(1.5, 0.9).negative_coupling_flags == (True, False)
-        assert VVector(0.5, 2.0).negative_coupling_flags == (False, True)
-
     def test_v_must_be_positive(self):
         with pytest.raises(ValidationError):
             VVector(0.0, 1.0)
@@ -380,6 +375,8 @@ class TestTrajectory:
             rg_trajectory(VVector(0.5, 0.5), max_steps=0)
         with pytest.raises(ValidationError):
             rg_trajectory(VVector(0.5, 0.5), tol=-1e-9)
+        with pytest.raises(ValidationError, match="tol must be positive, got nan"):
+            rg_trajectory(VVector(0.5, 0.5), tol=float("nan"))
 
 
 class TestInverseZeroField:

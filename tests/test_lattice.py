@@ -207,7 +207,7 @@ class TestInducedConfigPartition:
         site = Partition(LatticeSpec(site_count=2).site_space, [[0, 1]])
         p = induced_config_partition(g, site)
         assert p.n_atoms == 2
-        assert atom_probabilities(p).probabilities == (0.5, 0.5)
+        assert atom_probabilities(p) == (0.5, 0.5)
 
     def test_pair_blocks_at_infinite_temperature(self):
         g = gibbs_space((0.0, 0.0), 4)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroflow import (
-    AtomDistribution,
     FiniteProbabilitySpace,
     Partition,
     PermutationSystem,
@@ -126,24 +125,18 @@ class TestAtomProbabilities:
     def test_uniform_halves(self):
         s = uniform_space(4)
         p = Partition(s, [[0, 1], [2, 3]])
-        assert atom_probabilities(p).probabilities == (0.5, 0.5)
+        assert atom_probabilities(p) == (0.5, 0.5)
 
     def test_one_atom(self):
         s = uniform_space(4)
         p = Partition.trivial(s)
-        assert atom_probabilities(p).probabilities == (1.0,)
+        assert atom_probabilities(p) == (1.0,)
 
     def test_weighted_pairs(self):
         s = make_space("abcd", [0.1, 0.2, 0.3, 0.4])
         p = Partition(s, [[0, 3], [1, 2]])
-        probs = atom_probabilities(p).probabilities
+        probs = atom_probabilities(p)
         assert probs == pytest.approx((0.5, 0.5), abs=TOL)
-
-    def test_distribution_validates(self):
-        with pytest.raises(ValidationError):
-            AtomDistribution((0.5, 0.6))
-        with pytest.raises(ValidationError):
-            AtomDistribution((-0.1, 1.1))
 
 
 class TestEntropy:
@@ -441,7 +434,7 @@ def test_label_operations_match_frozenset_reference(case):
 
     w = space.weights
     masses = [math.fsum(w[i] for i in atom) for atom in ref_a]
-    assert atom_probabilities(a).probabilities == pytest.approx(masses, abs=TOL)
+    assert atom_probabilities(a) == pytest.approx(masses, abs=TOL)
     h = -math.fsum(m * math.log2(m) for m in masses if m > 0.0)
     assert entropy(a) == pytest.approx(h, abs=TOL)
 
@@ -559,12 +552,6 @@ NOT_FLAT = "weights must be a flat sequence of numbers"
          "negative weight: min is -0.5"),
         (lambda: FiniteProbabilitySpace("ab", np.array([1.25, -0.25], dtype=np.float32)),
          "negative weight: min is -0.25"),
-        (lambda: AtomDistribution((1.25, -0.25)),
-         "negative atom probability: min is -0.25"),
-        (lambda: AtomDistribution((float("nan"), 1.0)),
-         "atom probabilities must be finite"),
-        (lambda: AtomDistribution((0.5, 0.6)), "unnormalized atom probabilities (sum 1.1)"),
-        (lambda: AtomDistribution(()), "empty atom distribution"),
         (lambda: make_space("ab", [1.5, -0.5], normalize=True),
          "negative weight: min is -0.5"),
         (lambda: SymbolicSystem.markov([[0.5, 0.4], [0.5, 0.5]], stationary=[0.5, 0.5]),
@@ -578,8 +565,6 @@ NOT_FLAT = "weights must be a flat sequence of numbers"
         (lambda: make_space("ab", [0.5, "x"]), NOT_FLAT),
         (lambda: make_space("ab", [[0.5], [0.5]]), NOT_FLAT),
         (lambda: FiniteProbabilitySpace("ab", 1.0), NOT_FLAT),
-        (lambda: AtomDistribution(("x",)),
-         "atom probabilities must be a flat sequence of numbers"),
     ],
 )
 def test_space_messages_print_plain_values(build, message):
@@ -624,5 +609,5 @@ def test_atom_masses_for_many_atoms(n_atoms):
     kept = keys[positive][np.sort(first)]
     expected = np.bincount(keys, weights=w, minlength=n_atoms)[kept]
     assert p.n_atoms == kept.size == n_atoms
-    assert np.allclose(atom_probabilities(p).probabilities, expected, rtol=1e-10, atol=0)
+    assert np.allclose(atom_probabilities(p), expected, rtol=1e-10, atol=0)
     assert entropy(p) == pytest.approx(shannon_bits(expected), rel=1e-12)
