@@ -2,14 +2,16 @@
 
 Two kinds of system are covered. A :class:`PermutationSystem` is a finite
 probability space with a weight-preserving permutation; its join flow
-{join of T^{-k}P, k < n} is materialized atom by atom and stabilizes after
-at most as many steps as there are points. A :class:`SymbolicSystem` is
-the left shift with a Bernoulli or stationary Markov measure; there the
-n-th join of the generating partition is the exact distribution over
-length-n cylinder words, computed by recursion over words (never by
-sampling) under a hard word-count cap. One join generator serves both
-kinds: it yields the n-fold joins in order, and the block entropies read
-from it.
+{join of T^{-k}P, k < n} grows along the orbit: each step keys every point
+by its label in the last join and its symbol under T^{-n}P, read one step
+further along the permutation, and numbers the keys once. The flow
+stabilizes after at most as many steps as there are points. A
+:class:`SymbolicSystem` is the left shift with a Bernoulli or stationary
+Markov measure; there the n-th join of the generating partition is the
+exact distribution over length-n cylinder words, computed by recursion
+over words (never by sampling) under a hard word-count cap. One join
+generator serves both kinds: it yields the n-fold joins in order, and the
+block entropies read from it.
 
 The information production rate h(P, T) is estimated from the exact block
 entropies H_n as the last increment H_n - H_{n-1}. For stationary product
@@ -39,7 +41,6 @@ from .partitions import (
     _check_probabilities,
     _float_array,
     entropy,
-    join,
     make_space,
     shannon_bits,
 )
@@ -122,7 +123,9 @@ def cyclic_system(n_points: int) -> PermutationSystem:
         raise ResourceCapError(
             f"cycle of {n_points} points exceeds the ceiling of {MAX_CYCLE_POINTS}"
         )
-    space = make_space(range(n_points), np.full(n_points, 1.0 / n_points))
+    space = FiniteProbabilitySpace._from_distinct_ids(
+        tuple(range(n_points)), np.full(n_points, 1.0 / n_points)
+    )
     return PermutationSystem(space, np.roll(np.arange(n_points), -1))
 
 
@@ -322,7 +325,11 @@ def _joins(
     """The n-fold joins join_{k<n} T^{-k}P for n = 1..n_max, at least n = 1.
 
     A permutation system yields each join as a :class:`Partition` and
-    fails once one has more than ``cap`` atoms. A symbolic system yields
+    fails once one has more than ``cap`` atoms. Each step keys the points
+    by their label in the last join and their symbol under T^{-n}P, which
+    is the symbol under T^{-(n-1)}P of the image point, and numbers the
+    keys once: the partitions of ``join`` with ``pullback_partition``,
+    without building the pulled-back partition. A symbolic system yields
     the exact probability vector of the length-n words reduced through the
     symbol partition (the generating partition when ``partition`` is
     None), and fails before it would hold more than ``cap`` entries. The
@@ -345,11 +352,20 @@ def _joins(
         cap = _positive_cap(cap)
         if partition.space != system.space:
             raise ValidationError("partition does not live on the system's space")
-        joined = pulled = partition
+        # the symbol of each point under T^{-n}P, shifted up by one: the
+        # labels pullback_partition gives, with 0 for a point whose orbit
+        # has met a zero-weight point by step n
+        symbols = partition.atom_index_array + 1
+        alphabet = partition.n_atoms + 1
+        zero = np.flatnonzero(~(system.space.weight_array > 0.0))
+        joined = partition
         yield joined
         for _ in range(1, n_max):
-            pulled = pullback_partition(system, pulled)
-            joined = join(joined, pulled)
+            symbols = symbols[system.mapping]
+            symbols[zero] = 0
+            joined = Partition._from_labels(
+                system.space, joined.atom_index_array * alphabet + symbols
+            )
             _check_cap(joined.n_atoms, cap)
             yield joined
         return
@@ -470,11 +486,13 @@ def info_rate_report(
         partition: partition of the system's space (permutation) or of its
             symbol space (symbolic; default is the generating partition).
         n_max: number of block lengths to materialize, at least 2.
-        tol: stabilization tolerance for the convergence flag.
+        tol: stabilization tolerance for the convergence flag, positive.
         cap: hard bound on materialized words or atoms.
     """
     if n_max < 2:
         raise ValidationError(f"n_max must be at least 2, got {n_max}")
+    if not tol > 0.0:  # NaN fails too
+        raise ValidationError(f"tol must be positive, got {tol!r}")
     measure = entropy if isinstance(system, PermutationSystem) else shannon_bits
     h = tuple(measure(joined) for joined in _joins(system, partition, n_max, cap))
     increments = tuple(b - a for a, b in zip(h, h[1:]))

@@ -16,6 +16,7 @@ from entroflow import (
     entropy,
     info_rate_report,
     is_coarsening,
+    join,
     make_space,
     markov_entropy_rate,
     parse_system_spec,
@@ -273,6 +274,103 @@ class TestIteratedJoin:
         assert len(nth_join(b, None, 12, cap=2**12)) == 4096
 
 
+@st.composite
+def permutations_with_idle_cycles(draw):
+    """(system, partition): a random permutation whose cycles carry one
+    positive weight each, weight 0, or a mix of 0 and 1e-13.
+
+    The mixed cycles pass the 1e-12 weight-preservation check, so the
+    orbit of a positive-weight point can meet a zero-weight point. The
+    cycle through point 0 has positive weight.
+    """
+    n = draw(st.integers(2, 30))
+    mapping = draw(st.permutations(range(n)))
+    weights = np.zeros(n)
+    seen = set()
+    for start in range(n):
+        cycle = []
+        point = start
+        while point not in seen:
+            seen.add(point)
+            cycle.append(point)
+            point = mapping[point]
+        kinds = ["positive"] if start == 0 else ["positive", "zero", "mixed"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "positive":
+            weights[cycle] = draw(st.floats(0.1, 1.0))
+        elif kind == "mixed":
+            weights[cycle] = draw(st.lists(
+                st.sampled_from([0.0, 1e-13]), min_size=len(cycle), max_size=len(cycle)
+            ))
+    big = weights > 1e-12
+    weights[big] *= (1.0 - weights[~big].sum()) / weights[big].sum()
+    space = make_space(range(n), weights)
+    system = PermutationSystem(space, mapping)
+    owners = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    atoms = [[i for i in range(n) if owners[i] == a] for a in range(4)]
+    return system, Partition(space, [a for a in atoms if a])
+
+
+def pullback_joins(system, partition, n_max):
+    """The n-fold joins through ``pullback_partition`` and ``join``."""
+    joined = pulled = partition
+    yield joined
+    for _ in range(1, n_max):
+        pulled = pullback_partition(system, pulled)
+        joined = join(joined, pulled)
+        yield joined
+
+
+class TestOrbitJoins:
+    """The permutation joins of ``_joins`` against the pullback route."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(permutations_with_idle_cycles(), st.integers(1, 12))
+    def test_each_step_is_the_join_of_the_pullback(self, case, n_max):
+        system, partition = case
+        steps = list(_joins(system, partition, n_max, DEFAULT_WORD_CAP))
+        reference = list(pullback_joins(system, partition, n_max))
+        assert len(steps) == len(reference) == n_max
+        for ours, theirs in zip(steps, reference):
+            assert ours == theirs
+            assert ours.n_atoms == theirs.n_atoms
+            assert entropy(ours).hex() == entropy(theirs).hex()
+            assert ours._masses.tobytes() == theirs._masses.tobytes()
+
+    def test_an_orbit_through_a_zero_weight_point(self):
+        # cycles 2 -> 3 -> 4 -> 2 and 5 -> 6 -> 7 -> 5 with weights 1e-13 and
+        # 0 at 3 and 6. The pullback puts a point whose orbit has met a
+        # zero-weight point in no atom of P from then on, so 2 and 5 stay
+        # together although P tells 4 from 7.
+        tiny = 1e-13
+        space = make_space(range(8), [0.5, 0.5 - 4 * tiny] + [tiny, 0.0, tiny] * 2)
+        system = PermutationSystem(space, (0, 1, 3, 4, 2, 6, 7, 5))
+        partition = Partition(space, [[0, 2, 4, 5], [1, 7]])
+        steps = list(_joins(system, partition, 4, DEFAULT_WORD_CAP))
+        assert steps == list(pullback_joins(system, partition, 4))
+        assert [s.n_atoms for s in steps] == [2, 4, 5, 5]
+        assert steps[2].atom_index_array[2] == steps[2].atom_index_array[5]
+
+    @pytest.mark.parametrize("n_points", [9, 64])
+    def test_cap_edge(self, n_points):
+        system = cyclic_system(n_points)
+        partition = Partition(system.space, [[0, 1, 2], range(3, n_points)])
+        n_max = 8
+        counts = [p.n_atoms for p in pullback_joins(system, partition, n_max)]
+        cap = counts[-1]
+        assert [p.n_atoms for p in _joins(system, partition, n_max, cap)] == counts
+        first_over = next(n for n, c in enumerate(counts) if c > cap - 1)
+        yielded = []
+        with pytest.raises(ResourceCapError) as excinfo:
+            for p in _joins(system, partition, n_max, cap - 1):
+                yielded.append(p.n_atoms)
+        assert yielded == counts[:first_over]
+        assert str(excinfo.value) == (
+            f"word enumeration needs {counts[first_over]} entries, over the cap "
+            f"of {cap - 1}; raise the cap explicitly or lower n_max"
+        )
+
+
 class TestInfoRateReport:
     def test_identity_rate_is_exactly_zero(self):
         space = make_space(list(range(6)), [1 / 6] * 6)
@@ -340,6 +438,12 @@ class TestInfoRateReport:
     def test_n_max_floor(self):
         with pytest.raises(ValidationError):
             info_rate_report(SymbolicSystem.bernoulli([0.5, 0.5]), n_max=1)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("-inf")])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValidationError) as excinfo:
+            info_rate_report(SymbolicSystem.bernoulli([0.5, 0.5]), n_max=6, tol=tol)
+        assert str(excinfo.value) == f"tol must be positive, got {tol!r}"
 
 
 class TestMarkovEntropyRate:

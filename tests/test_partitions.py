@@ -21,7 +21,7 @@ from entroflow import (
     pullback_partition,
     shannon_bits,
 )
-from entroflow.partitions import _TERM_BLOCK
+from entroflow.partitions import _TERM_BLOCK, _canonical_labels
 
 TOL = 1e-12
 
@@ -589,6 +589,55 @@ def test_point_ids_match_by_python_equality():
     assert wide.index_of(3) == 3
     with pytest.raises(ValidationError, match="unknown point id '1'"):
         s.index_of("1")
+
+
+def unique_canonical_labels(weights, keys):
+    """``_canonical_labels`` through ``np.unique`` and one mask per atom.
+
+    Each mass is one ``np.add.reduceat`` over the atom's weights in point
+    order, the sum `_canonical_labels` uses: the first weight plus the
+    pairwise sum of the rest, which is not always the bytes of ``np.sum``.
+    """
+    positive = weights > 0.0
+    _, first, inverse = np.unique(keys[positive], return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    labels = np.full(keys.size, -1, dtype=np.int64)
+    labels[positive] = rank[inverse]
+    masses = np.array(
+        [np.add.reduceat(weights[labels == a], [0])[0] for a in range(first.size)]
+    )
+    return labels, first.size, masses
+
+
+@st.composite
+def wide_keys(draw):
+    """(weights, keys): a few distinct int64 keys spanning more than 2^16,
+    repeated over up to 300 points, some of weight zero."""
+    bits = draw(st.sampled_from([17, 32, 33, 48, 63, 64]))
+    low = -(2 ** (bits - 1)) if bits == 64 else draw(st.integers(-(2**62), 2**62 - 2**bits))
+    high = low + 2**bits - 1
+    pool = draw(st.lists(st.integers(low, high), min_size=2, max_size=40, unique=True))
+    pool[:2] = [low, high]
+    size = draw(st.integers(2, 300))
+    keys = np.array(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+    keys[:2] = [low, high]
+    raw = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=size,
+                                 max_size=size)))
+    raw[:2] = 1.0
+    return raw / raw.sum(), keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_keys())
+def test_canonical_labels_of_wide_keys(case):
+    weights, keys = case
+    labels, n_atoms, masses = _canonical_labels(weights, keys)
+    expected_labels, expected_atoms, expected_masses = unique_canonical_labels(weights, keys)
+    assert labels.tolist() == expected_labels.tolist()
+    assert n_atoms == expected_atoms
+    assert masses.tobytes() == expected_masses.tobytes()
+    assert not labels.flags.writeable and not masses.flags.writeable
 
 
 @pytest.mark.parametrize("n_atoms", [255, 256, 300, 65535, 65536, 70000])
