@@ -265,18 +265,19 @@ def _shifted_boltzmann(exponent: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _field_and_bond_sums(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_i S_i and sum_i S_i S_{i+1} for every configuration index, as int64.
+    """sum_i S_i and sum_i S_i S_{i+1} for every configuration index, as int8.
 
     Index i has spin j down when bit j is set (the layout of
     :func:`spin_configurations`), so the field sum is n - 2 popcount(i)
     and the periodic bond sum is n - 2 popcount(i XOR rot(i)), where
-    rot(i) moves bit j + 1 to bit j and bit 0 to bit n - 1.
+    rot(i) moves bit j + 1 to bit j and bit 0 to bit n - 1. Both lie in
+    [-n, n], and the brute force stops at n = 20.
     """
     n = int(n_sites)
-    index = np.arange(1 << n, dtype=np.int64)
+    index = np.arange(1 << n, dtype=np.uint32)
     rotated = (index >> 1) | ((index & 1) << (n - 1))
-    down = np.bitwise_count(index).astype(np.int64)
-    broken = np.bitwise_count(index ^ rotated).astype(np.int64)
+    down = np.bitwise_count(index).astype(np.int8)
+    broken = np.bitwise_count(index ^ rotated).astype(np.int8)
     return n - 2 * down, n - 2 * broken
 
 

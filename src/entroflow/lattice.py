@@ -31,6 +31,17 @@ space. The plateau verdicts are read from those entropies, each computed
 once; the flow on the Gibbs space and its reverse (the refinement flow)
 are built only when read.
 
+None of that grouping depends on the couplings once the zero-weight
+configurations are fixed. So it is built once per shape, the tuple
+(sites, block size, levels, block rule, zero-weight configurations): the
+level-0 codes and their grouping, the quotient grouping of every level
+and each level's runs over the configurations. Only the last shape is
+kept, with the int8 field and bond sums of the last chain length. A call
+exponentiates and normalizes the weights, sums them along the kept runs
+(one gather and one ``np.add.reduceat`` per level), and builds and
+validates the quotient flow. The block rule is called when a shape is
+built, so a rule must give the same values on every call.
+
 Configuration enumeration is exact and capped at 2^16 configurations; the
 environment variable ENTROFLOW_MAX_CONFIGS may lower (never raise) that
 cap.
@@ -41,7 +52,7 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -58,7 +69,9 @@ from .ising import (
 from .partitions import (
     FiniteProbabilitySpace,
     Partition,
-    _label_masses,
+    _canonical_grouping,
+    _Grouping,
+    _label_runs,
     make_space,
     shannon_bits,
 )
@@ -256,7 +269,7 @@ def gibbs_space(
             f"{2**n} configurations exceed the cap of {cap} "
             f"({ENV_CONFIG_CAP} lowers it, never raises it)"
         )
-    field, bonds = _field_and_bond_sums(n)
+    field, bonds = _config_sums(n)
     # named, so that it lives until the space is built: freed sooner, it
     # moved the heap top, and the page faults slowed a cap-sized
     # entropy-flow by 6-8% (glibc malloc, 2-core Linux host)
@@ -269,6 +282,18 @@ def gibbs_space(
         _ConfigIds(n), weights / float(weights.sum())
     )
     return IsingGibbsSpace(coupling=kk, n_sites=n, space=space, log_normalization=log_z)
+
+
+@lru_cache(maxsize=1)
+def _config_sums(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """The field and bond sums of every configuration, read-only int8.
+
+    Only the last chain length is kept.
+    """
+    sums = _field_and_bond_sums(n_sites)
+    for a in sums:
+        a.setflags(write=False)
+    return sums
 
 
 def _rule_table(block_map: BlockMap, length: int) -> np.ndarray:
@@ -342,7 +367,7 @@ def induced_config_partition(
     return Partition._from_labels(gibbs.space, keys)
 
 
-def _through(quotient: Partition, level0: Partition) -> np.ndarray:
+def _through(quotient: np.ndarray, level0: np.ndarray) -> np.ndarray:
     """A quotient partition's labels carried to every point of the Gibbs space.
 
     The quotient's point j is level-0 atom j, so a point takes the label of
@@ -351,8 +376,63 @@ def _through(quotient: Partition, level0: Partition) -> np.ndarray:
     so a coarser atom's first point opens its first level-0 atom and the
     labels come out canonical.
     """
-    padded = np.append(quotient.atom_index_array, -1)
-    return padded[level0.atom_index_array]
+    padded = np.append(quotient, -1)
+    return padded[level0]
+
+
+@dataclass(frozen=True, eq=False)
+class _Skeleton:
+    """What a block-spin flow keeps of one shape: no coupling changes it.
+
+    ``level0`` groups the configurations into level-0 atoms, ``quotient``
+    groups the quotient points (the level-0 atoms) into each level's
+    atoms, level 0 first, and ``runs`` holds each level above 0 as the
+    (order, starts) runs ``_label_runs`` gives over the configurations.
+    """
+
+    level0: _Grouping
+    quotient: tuple[_Grouping, ...]
+    runs: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=1)
+def _skeleton(
+    n_sites: int, block_size: int, levels: int, block_map: BlockMap, zeros: bytes
+) -> _Skeleton:
+    """The skeleton of a shape whose zero-weight configurations are ``zeros``.
+
+    ``zeros`` holds their indices as int64 bytes, so it fixes the positive
+    mask the level-0 grouping is made under. Only the last shape is kept.
+    """
+    b = block_size
+    table_of = cache(partial(_rule_table, block_map))
+
+    def runs(level: int) -> list[tuple[int, int]]:
+        return [(t * b, b) for t in range(n_sites // b ** (level + 1))]
+
+    size = 1 << n_sites
+    positive = None
+    if zeros:
+        positive = np.ones(size, dtype=bool)
+        positive[np.frombuffer(zeros, dtype=np.int64)] = False
+    codes = _block_codes(np.arange(size, dtype=np.int64), runs(0), table_of)
+    level0 = _canonical_grouping(codes, positive)
+    # the level-0 code of each atom; zero-weight points write the last slot
+    atom_codes = np.empty(level0.n_atoms + 1, dtype=np.int64)
+    atom_codes[level0.labels] = codes
+    atom_codes = atom_codes[:-1]
+    # the atom masses are positive, so every quotient point is kept
+    quotient = [_canonical_grouping(np.arange(level0.n_atoms), None)]
+    for level in range(1, levels):
+        atom_codes = _block_codes(atom_codes, runs(level), table_of)
+        quotient.append(_canonical_grouping(atom_codes, None))
+    return _Skeleton(
+        level0=level0,
+        quotient=tuple(quotient),
+        runs=tuple(
+            _label_runs(_through(q.labels, level0.labels), q.n_atoms) for q in quotient[1:]
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -383,7 +463,9 @@ class RgEntropyFlowResult:
         """The levels as partitions of the Gibbs space, built and validated on first read."""
         space = self.level0.space
         coarser = (
-            Partition._from_labels(space, _through(q, self.level0))
+            Partition._from_labels(
+                space, _through(q.atom_index_array, self.level0.atom_index_array)
+            )
             for q in self.quotient_flow.sequence[1:]
         )
         return PartitionFlow(space, (self.level0, *coarser), "coarse-graining")
@@ -414,6 +496,13 @@ def rg_entropy_flow(
     same bytes. Both directions' plateau verdicts are read from those
     entropies (trivially witnessed for a single level); the flows on the
     Gibbs space are built on first read.
+
+    Per shape (sites, block size, levels, block rule and the zero-weight
+    configurations) the codes, groupings and runs are built once and the
+    last shape is kept; per call the Gibbs weights are computed, summed
+    once per level along the kept runs, and the quotient flow is built
+    and validated. The labels of ``level0`` and of the quotient flow are
+    shared between calls of one shape and cannot be written.
     """
     if levels < 1:
         raise ValidationError(f"levels must be at least 1, got {levels}")
@@ -421,29 +510,18 @@ def rg_entropy_flow(
     for level in range(levels):
         spec.block_length(level)  # validates divisibility up front
     gibbs = gibbs_space(k, n_sites)
-    b = spec.block_size
-    table_of = cache(partial(_rule_table, block_map))
-
-    def runs(level: int) -> list[tuple[int, int]]:
-        return [(t * b, b) for t in range(gibbs.n_sites // b ** (level + 1))]
-
-    codes = _block_codes(np.arange(gibbs.space.size, dtype=np.int64), runs(0), table_of)
-    level0 = Partition._from_labels(gibbs.space, codes)
+    space = gibbs.space
+    zeros = b"" if space._positive is None else np.flatnonzero(~space._positive).tobytes()
+    skeleton = _skeleton(gibbs.n_sites, spec.block_size, levels, block_map, zeros)
+    level0 = Partition._from_grouping(space, skeleton.level0)
     quotient = FiniteProbabilitySpace._from_distinct_ids(
         range(level0.n_atoms), level0._masses
     )
-    # the level-0 code of each atom; zero-weight points write the last slot
-    atom_codes = np.empty(level0.n_atoms + 1, dtype=np.int64)
-    atom_codes[level0.atom_index_array] = codes
-    atom_codes = atom_codes[:-1]
-    partitions = [Partition.discrete(quotient)]
-    for level in range(1, levels):
-        atom_codes = _block_codes(atom_codes, runs(level), table_of)
-        partitions.append(Partition._from_labels(quotient, atom_codes))
-    flow = PartitionFlow(quotient, tuple(partitions), "coarse-graining")
+    partitions = tuple(Partition._from_grouping(quotient, q) for q in skeleton.quotient)
+    flow = PartitionFlow(quotient, partitions, "coarse-graining")
+    # each atom's weights in point order, the sum ``entropy`` takes
     masses = [level0._masses] + [
-        _label_masses(gibbs.space.weight_array, _through(q, level0), q.n_atoms)
-        for q in partitions[1:]
+        np.add.reduceat(space.weight_array[order], starts) for order, starts in skeleton.runs
     ]
     entropies = tuple(shannon_bits(m) for m in masses)
     if levels == 1:

@@ -20,7 +20,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,14 +53,24 @@ def shannon_bits(probabilities: Iterable[float] | np.ndarray) -> float:
     p = np.asarray(probabilities, dtype=float).ravel()
     if p.size == 0:
         return 0.0
-    if not p.min() > 0.0:
+    if p.size <= _TERM_BLOCK:
+        total = _sum_of_terms(p, np.empty(p.size)) if p.min() > 0.0 else np.nan
+    elif p[:_TERM_BLOCK].min() > 0.0:
+        # only the first block is checked: past it an entry that is not
+        # positive makes its term NaN, which ends the sum at its block, so
+        # a long p is read once
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total = _sum_of_terms(p, np.empty(_TERM_BLOCK))
+    else:
+        total = np.nan
+    if total != total:  # summed again over the positive entries alone
         p = p[p > 0.0]
         if p.size == 0:
             return 0.0
-    buffer = np.empty(min(p.size, _TERM_BLOCK))
+        total = _sum_of_terms(p, np.empty(min(p.size, _TERM_BLOCK)))
     # negating the sum gives the bytes of summing the negated terms; the
     # + 0.0 turns a signed zero from rounding into plain 0.0
-    return float(-_sum_of_terms(p, buffer)) + 0.0
+    return float(-total) + 0.0
 
 
 #: Entries per block of ``shannon_bits`` terms, computed in one buffer.
@@ -75,7 +85,7 @@ def _sum_of_terms(p: np.ndarray, buffer: np.ndarray) -> np.float64:
     multiple of 8, and adds the sums of the two pieces. Splitting the same
     way until a piece fits the buffer and letting numpy sum each piece
     gives the bytes of one sum over all the terms, without a temporary as
-    long as ``p``.
+    long as ``p``. A NaN sum of the first piece is returned as it is.
     """
     n = p.size
     if n <= buffer.size:
@@ -85,7 +95,10 @@ def _sum_of_terms(p: np.ndarray, buffer: np.ndarray) -> np.float64:
         return terms.sum()
     half = n // 2
     half -= half % 8
-    return _sum_of_terms(p[:half], buffer) + _sum_of_terms(p[half:], buffer)
+    low = _sum_of_terms(p[:half], buffer)
+    if low != low:  # NaN
+        return low
+    return low + _sum_of_terms(p[half:], buffer)
 
 
 def _check_probabilities(p: np.ndarray, one: str, many: str) -> None:
@@ -190,6 +203,15 @@ class FiniteProbabilitySpace:
     def weights(self) -> tuple[float, ...]:
         return tuple(self.weight_array.tolist())
 
+    @cached_property
+    def _positive(self) -> np.ndarray | None:
+        """The read-only mask of positive-weight points; None when every weight is positive."""
+        positive = self.weight_array > 0.0
+        if positive.all():
+            return None
+        positive.setflags(write=False)
+        return positive
+
     @property
     def size(self) -> int:
         return self.weight_array.size
@@ -261,26 +283,45 @@ def make_space(
     return FiniteProbabilitySpace(point_ids, weights)
 
 
-def _canonical_labels(
-    weights: np.ndarray, keys: np.ndarray
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Number the distinct keys 0, 1, ... by first occurrence, and weigh each.
+class _Grouping(NamedTuple):
+    """Points grouped by key, for every weighting with the same zero-weight points.
 
-    Zero-weight points get -1 whatever their key. One stable sort groups
-    the points of each key in point order. Its runs, numbered by their
-    first point, are the atoms. Keys spanning at most twice the number of
-    points are numbered through a table as long as the span, wider ones
-    along the sorted order. Each atom's weights are summed in point order
-    by one ``np.add.reduceat``: the first weight plus the pairwise sum of
-    the rest. A running sum over 2^15 points per atom would drift by up
-    to 1e-11 relative in the entropy.
-
-    Returns the labels, the atom count and the atom masses, read-only.
+    ``labels`` numbers the groups 0, 1, ... by first point, -1 on
+    zero-weight points; ``order`` lists the other points, grouped by key
+    and in point order within a group; the runs of ``order`` open at
+    ``starts``, and ``by_first`` lists the runs in label order. The labels
+    are read-only.
     """
-    positive = weights > 0.0
-    every = bool(positive.all())
-    if not every:
-        keys, weights = keys[positive], weights[positive]
+
+    labels: np.ndarray
+    n_atoms: int
+    order: np.ndarray
+    starts: np.ndarray
+    by_first: np.ndarray
+
+    def masses(self, weights: np.ndarray) -> np.ndarray:
+        """Each atom's weights summed in point order, read-only.
+
+        One ``np.add.reduceat``: the first weight plus the pairwise sum of
+        the rest. A running sum over 2^15 points per atom would drift by
+        up to 1e-11 relative in the entropy.
+        """
+        masses = np.add.reduceat(weights[self.order], self.starts)[self.by_first]
+        masses.setflags(write=False)
+        return masses
+
+
+def _canonical_grouping(keys: np.ndarray, positive: np.ndarray | None) -> _Grouping:
+    """Number the distinct keys 0, 1, ... by first occurrence.
+
+    Points outside the ``positive`` mask get -1 whatever their key; None
+    keeps every point. One stable sort groups the points of each key in
+    point order. Its runs, numbered by their first point, are the atoms.
+    Keys spanning at most twice the number of points are numbered through
+    a table as long as the span, wider ones along the sorted order.
+    """
+    if positive is not None:
+        keys = keys[positive]
     size = keys.size
     lo = keys.min()
     span = int(keys.max()) - int(lo) + 1
@@ -303,13 +344,14 @@ def _canonical_labels(
     else:
         labels = np.empty(size, dtype=np.int64)
         labels[order] = rank[np.cumsum(opens) - 1]
-    if not every:
+    if positive is not None:
         kept, labels = labels, np.full(positive.size, -1, dtype=np.int64)
         labels[positive] = kept
-    masses = np.add.reduceat(weights[order], starts)[by_first]
+        order = np.flatnonzero(positive)[order]
     labels.setflags(write=False)
-    masses.setflags(write=False)
-    return labels, n_atoms, masses
+    # a view of a read-only array cannot be made writeable again, so
+    # partitions may share these labels
+    return _Grouping(labels.view(), n_atoms, order, starts, by_first)
 
 
 def _stable_order(codes: np.ndarray, span: int) -> np.ndarray:
@@ -357,18 +399,6 @@ def _label_runs(labels: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarra
     keys = labels + 1
     counts = np.bincount(keys, minlength=n_atoms + 1)
     return _stable_order(keys, n_atoms + 1), np.cumsum(counts)[:-1]
-
-
-def _label_masses(weights: np.ndarray, labels: np.ndarray, n_atoms: int) -> np.ndarray:
-    """The total weight of each label 0 .. n_atoms - 1, read-only.
-
-    Each atom's weights are summed in point order, as in
-    ``_canonical_labels``.
-    """
-    order, starts = _label_runs(labels, n_atoms)
-    masses = np.add.reduceat(weights[order], starts)
-    masses.setflags(write=False)
-    return masses
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,23 +463,30 @@ class Partition:
                 "positive-weight points not covered by any atom: "
                 f"{uncovered[:8].tolist()}"
             )
-        self._assign(space, owner)
+        self._assign(space, _canonical_grouping(owner, space._positive))
 
     @classmethod
     def _from_labels(
         cls, space: FiniteProbabilitySpace, keys: np.ndarray
     ) -> "Partition":
         """The partition grouping points of equal integer key, unchecked."""
+        keys = np.asarray(keys, dtype=np.int64)
+        return cls._from_grouping(space, _canonical_grouping(keys, space._positive))
+
+    @classmethod
+    def _from_grouping(
+        cls, space: FiniteProbabilitySpace, grouping: _Grouping
+    ) -> "Partition":
+        """The partition of a grouping made under ``space._positive``, unchecked."""
         self = object.__new__(cls)
-        self._assign(space, np.asarray(keys, dtype=np.int64))
+        self._assign(space, grouping)
         return self
 
-    def _assign(self, space: FiniteProbabilitySpace, keys: np.ndarray) -> None:
-        labels, n_atoms, masses = _canonical_labels(space.weight_array, keys)
+    def _assign(self, space: FiniteProbabilitySpace, grouping: _Grouping) -> None:
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "atom_index_array", labels)
-        object.__setattr__(self, "n_atoms", n_atoms)
-        object.__setattr__(self, "_masses", masses)
+        object.__setattr__(self, "atom_index_array", grouping.labels)
+        object.__setattr__(self, "n_atoms", grouping.n_atoms)
+        object.__setattr__(self, "_masses", grouping.masses(space.weight_array))
 
     @classmethod
     def from_point_ids(

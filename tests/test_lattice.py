@@ -368,10 +368,10 @@ def reference_entropy(weights, keys):
 
 
 @st.composite
-def block_flows(draw):
+def block_flows(draw, max_sites=12):
     """(couplings, sites, block size, levels) over every legal level count."""
     block = draw(st.integers(2, 4))
-    sites = draw(st.sampled_from(range(block, 13, block)))
+    sites = draw(st.sampled_from(range(block, max_sites + 1, block)))
     legal = 1
     while sites % block ** (legal + 1) == 0:
         legal += 1
@@ -647,7 +647,8 @@ class TestQuotientLevels:
     def test_no_configuration_sized_work_beyond_level_zero(
         self, monkeypatch, sites, block, levels
     ):
-        sizes = {"_block_codes": [], "_canonical_labels": [], "is_coarsening": []}
+        clear_shape_caches()
+        sizes = {"_block_codes": [], "_canonical_grouping": [], "is_coarsening": []}
 
         def recording(name, real, size_of):
             def wrapper(*args, **kwargs):
@@ -658,16 +659,106 @@ class TestQuotientLevels:
 
         monkeypatch.setattr(lattice, "_block_codes", recording(
             "_block_codes", lattice._block_codes, lambda codes, *rest: codes.size))
-        monkeypatch.setattr(partitions, "_canonical_labels", recording(
-            "_canonical_labels", partitions._canonical_labels, lambda w, keys: keys.size))
+        grouping = recording("_canonical_grouping", partitions._canonical_grouping,
+                             lambda keys, positive: keys.size)
+        monkeypatch.setattr(partitions, "_canonical_grouping", grouping)
+        monkeypatch.setattr(lattice, "_canonical_grouping", grouping)
         monkeypatch.setattr(flows, "is_coarsening", recording(
             "is_coarsening", is_coarsening, lambda coarse, fine: fine.space.size))
         r = rg_entropy_flow((0.1, -0.9), sites, block, levels)
         full = 2**sites
         atoms = r.atom_counts[0]
         assert sizes["_block_codes"] == [full] + [atoms] * (levels - 1)
-        assert sizes["_canonical_labels"] == [full] + [atoms] * levels
+        assert sizes["_canonical_grouping"] == [full] + [atoms] * levels
         assert sizes["is_coarsening"] == [atoms] * (levels - 1)
+        # a warm call at another coupling re-sums the weights only
+        for record in sizes.values():
+            record.clear()
+        assert rg_entropy_flow((0.6, 0.3), sites, block, levels).atom_counts == r.atom_counts
+        assert sizes["_block_codes"] == []
+        assert sizes["_canonical_grouping"] == []
+        assert sizes["is_coarsening"] == [atoms] * (levels - 1)
+
+
+def clear_shape_caches():
+    lattice._skeleton.cache_clear()
+    lattice._config_sums.cache_clear()
+
+
+def flow_bytes(r):
+    """Every number an entropy flow reports or holds, as exact bytes."""
+    quotient = r.quotient_flow
+    return (
+        [h.hex() for h in r.entropies],
+        r.atom_counts,
+        r.level0.atom_index_array.tobytes(),
+        r.level0._masses.tobytes(),
+        quotient.space.weight_array.tobytes(),
+        [(p.atom_index_array.tobytes(), p._masses.tobytes()) for p in quotient],
+        r.coarse_verdict.to_record(),
+        r.refinement_verdict.to_record(),
+    )
+
+
+def cold_flow(k, sites, block, levels, block_map=majority_first_site):
+    clear_shape_caches()
+    return rg_entropy_flow(k, sites, block, levels, block_map=block_map)
+
+
+class TestShapeSkeleton:
+    """The coupling-free part of a flow is built once per shape and reused."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(block_flows(max_sites=16), st.sampled_from([majority_first_site, last_site]),
+           st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)))
+    def test_a_warm_call_is_a_cold_call(self, flow, rule, before):
+        k, sites, block, levels = flow
+        cold_flow(before, sites, block, levels, rule)
+        warm = rg_entropy_flow(k, sites, block, levels, block_map=rule)
+        assert flow_bytes(warm) == flow_bytes(cold_flow(k, sites, block, levels, rule))
+
+    def test_zero_weight_points_are_part_of_the_shape(self):
+        # (0, +-300) on 8 sites leaves two configurations each, not the same two
+        clear_shape_caches()
+        couplings = [(0.1, 0.5), (0.2, 0.7), (0.0, 300.0), (1.0, 300.0), (0.0, -300.0),
+                     (0.1, 0.5)]
+        warm = [rg_entropy_flow(k, 8, 2, 3) for k in couplings]
+        assert lattice._skeleton.cache_info()[:2] == (2, 4)  # (hits, misses)
+        assert [r.atom_counts[0] for r in warm] == [16, 16, 2, 2, 2, 16]
+        supports = [tuple(np.flatnonzero(r.level0.atom_index_array >= 0)) for r in warm]
+        assert supports[2] == supports[3] != supports[4]
+        for k, r in zip(couplings, warm):
+            assert flow_bytes(r) == flow_bytes(cold_flow(k, 8, 2, 3))
+
+    def test_the_rule_is_part_of_the_shape(self):
+        clear_shape_caches()
+        k = (0.4, -0.6)
+        majority, last = (rg_entropy_flow(k, 16, 2, 4, block_map=rule)
+                          for rule in (majority_first_site, last_site))
+        assert lattice._skeleton.cache_info()[:2] == (0, 2)
+        assert flow_bytes(majority) != flow_bytes(last)
+        assert flow_bytes(last) == flow_bytes(cold_flow(k, 16, 2, 4, last_site))
+
+    def test_the_cap_still_refuses_on_a_warm_cache(self, monkeypatch):
+        monkeypatch.delenv(ENV_CONFIG_CAP, raising=False)
+        rg_entropy_flow((0.1, 0.5), 10)
+        monkeypatch.setenv(ENV_CONFIG_CAP, "512")
+        with pytest.raises(ResourceCapError, match="1024 configurations exceed the cap of 512"):
+            rg_entropy_flow((0.1, 0.5), 10)
+        with pytest.raises(ResourceCapError, match="cap of 512"):
+            gibbs_space((0.1, 0.5), 10)
+
+    def test_shared_labels_cannot_be_written(self):
+        r = rg_entropy_flow((0.3, -0.8), 8, 2, 3)
+        for labels in [r.level0.atom_index_array,
+                       *(p.atom_index_array for p in r.quotient_flow)]:
+            with pytest.raises(ValueError, match="read-only"):
+                labels[0] = 5
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                labels.setflags(write=True)
+        warm = rg_entropy_flow((0.3, -0.8), 8, 2, 3)
+        assert warm.level0.atom_index_array is r.level0.atom_index_array  # shared
+        assert flow_bytes(warm) == flow_bytes(cold_flow((0.3, -0.8), 8, 2, 3))
 
 
 @st.composite

@@ -21,7 +21,7 @@ from entroflow import (
     pullback_partition,
     shannon_bits,
 )
-from entroflow.partitions import _TERM_BLOCK, _canonical_labels
+from entroflow.partitions import _TERM_BLOCK, _canonical_grouping
 
 TOL = 1e-12
 
@@ -171,18 +171,20 @@ class TestEntropy:
         [1, 2, 3, 1000, _TERM_BLOCK - 1, _TERM_BLOCK, _TERM_BLOCK + 1,
          2 * _TERM_BLOCK + 9, 3**11, 999_983, 2**20],
     )
-    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("zeros", [False, True, "late"])
     def test_shannon_bits_matches_the_filtered_sum(self, size, zeros):
         # the terms are summed block by block in numpy's pairwise order,
         # and negating the sum is negating every term, so the bytes agree
         # with one numpy sum over the positive entries; ``size`` of them
-        # are positive, and the zeros fall between them
+        # are positive, and the zeros fall between them, or only past the
+        # first block when they are late
         rng = np.random.default_rng(size)
         kept = rng.uniform(0.0, 1.0, size)
         kept /= kept.sum()
         p = kept
         if zeros:
-            spots = rng.integers(0, size + 1, max(1, size // 3))
+            first = min(size, _TERM_BLOCK) if zeros == "late" else 0
+            spots = rng.integers(first, size + 1, max(1, size // 3))
             p = np.insert(kept, spots, 0.0)
         expected = float(-(kept * np.log2(kept)).sum()) + 0.0
         got = shannon_bits(p)
@@ -592,10 +594,10 @@ def test_point_ids_match_by_python_equality():
 
 
 def unique_canonical_labels(weights, keys):
-    """``_canonical_labels`` through ``np.unique`` and one mask per atom.
+    """``_canonical_grouping`` and its masses through ``np.unique`` and one mask per atom.
 
     Each mass is one ``np.add.reduceat`` over the atom's weights in point
-    order, the sum `_canonical_labels` uses: the first weight plus the
+    order, the sum ``_Grouping.masses`` takes: the first weight plus the
     pairwise sum of the rest, which is not always the bytes of ``np.sum``.
     """
     positive = weights > 0.0
@@ -632,7 +634,8 @@ def wide_keys(draw):
 @given(wide_keys())
 def test_canonical_labels_of_wide_keys(case):
     weights, keys = case
-    labels, n_atoms, masses = _canonical_labels(weights, keys)
+    grouping = _canonical_grouping(keys, make_space(range(keys.size), weights)._positive)
+    labels, n_atoms, masses = grouping.labels, grouping.n_atoms, grouping.masses(weights)
     expected_labels, expected_atoms, expected_masses = unique_canonical_labels(weights, keys)
     assert labels.tolist() == expected_labels.tolist()
     assert n_atoms == expected_atoms
