@@ -62,7 +62,11 @@ _ORACLE_RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CouplingVector:
-    """Dimensionless couplings (K0 field, K1 bond), capped at |K| <= 300."""
+    """Dimensionless couplings (K0 field, K1 bond), capped at |K| <= 300.
+
+    Both are stored as Python floats, whatever real numbers they were given
+    as, so products with the int8 configuration sums are float64.
+    """
 
     k0: float
     k1: float
@@ -76,6 +80,7 @@ class CouplingVector:
                     f"|{name}| = {abs(value)!r} exceeds the overflow cap "
                     f"{COUPLING_CAP}; rescale the couplings"
                 )
+            object.__setattr__(self, name, float(value))
 
     @property
     def v(self) -> "VVector":

@@ -33,14 +33,14 @@ are built only when read.
 
 None of that grouping depends on the couplings once the zero-weight
 configurations are fixed. So it is built once per shape, the tuple
-(sites, block size, levels, block rule, zero-weight configurations): the
-level-0 codes and their grouping, the quotient grouping of every level
-and each level's runs over the configurations. Only the last shape is
-kept, with the int8 field and bond sums of the last chain length. A call
-exponentiates and normalizes the weights, sums them along the kept runs
-(one gather and one ``np.add.reduceat`` per level), and builds and
-validates the quotient flow. The block rule is called when a shape is
-built, so a rule must give the same values on every call.
+(sites, block size, levels, the rule's values on the sign patterns of one
+block, zero-weight configurations): the level-0 codes and their grouping,
+the quotient grouping of every level and each level's runs over the
+configurations. Only the last shape is kept, with the int8 field and bond
+sums of the last chain length. A call tables the block rule (2^b
+patterns), exponentiates and normalizes the weights, sums them along the
+kept runs (one gather and one ``np.add.reduceat`` per level), and builds
+and validates the quotient flow.
 
 Configuration enumeration is exact and capped at 2^16 configurations; the
 environment variable ENTROFLOW_MAX_CONFIGS may lower (never raise) that
@@ -397,15 +397,20 @@ class _Skeleton:
 
 @lru_cache(maxsize=1)
 def _skeleton(
-    n_sites: int, block_size: int, levels: int, block_map: BlockMap, zeros: bytes
+    n_sites: int, block_size: int, levels: int, rule: bytes, zeros: bytes
 ) -> _Skeleton:
     """The skeleton of a shape whose zero-weight configurations are ``zeros``.
 
-    ``zeros`` holds their indices as int64 bytes, so it fixes the positive
-    mask the level-0 grouping is made under. Only the last shape is kept.
+    ``rule`` holds the rule table of one block (``_rule_table``) and
+    ``zeros`` the indices of the zero-weight configurations, both as int64
+    bytes; ``zeros`` fixes the positive mask the level-0 grouping is made
+    under. Only the last shape is kept.
     """
     b = block_size
-    table_of = cache(partial(_rule_table, block_map))
+    table = np.frombuffer(rule, dtype=np.int64)
+
+    def table_of(length: int) -> np.ndarray:
+        return table
 
     def runs(level: int) -> list[tuple[int, int]]:
         return [(t * b, b) for t in range(n_sites // b ** (level + 1))]
@@ -497,11 +502,12 @@ def rg_entropy_flow(
     entropies (trivially witnessed for a single level); the flows on the
     Gibbs space are built on first read.
 
-    Per shape (sites, block size, levels, block rule and the zero-weight
-    configurations) the codes, groupings and runs are built once and the
-    last shape is kept; per call the Gibbs weights are computed, summed
-    once per level along the kept runs, and the quotient flow is built
-    and validated. The labels of ``level0`` and of the quotient flow are
+    Per shape (sites, block size, levels, the block rule's values on the
+    sign patterns of one block, and the zero-weight configurations) the
+    codes, groupings and runs are built once and the last shape is kept;
+    per call the rule is called once, the Gibbs weights are computed,
+    summed once per level along the kept runs, and the quotient flow is
+    built and validated. The labels of ``level0`` and of the quotient flow are
     shared between calls of one shape and cannot be written.
     """
     if levels < 1:
@@ -511,8 +517,10 @@ def rg_entropy_flow(
         spec.block_length(level)  # validates divisibility up front
     gibbs = gibbs_space(k, n_sites)
     space = gibbs.space
+    # the rule is called on every call, so the shape holds its values
+    rule = _rule_table(block_map, spec.block_size).tobytes()
     zeros = b"" if space._positive is None else np.flatnonzero(~space._positive).tobytes()
-    skeleton = _skeleton(gibbs.n_sites, spec.block_size, levels, block_map, zeros)
+    skeleton = _skeleton(gibbs.n_sites, spec.block_size, levels, rule, zeros)
     level0 = Partition._from_grouping(space, skeleton.level0)
     quotient = FiniteProbabilitySpace._from_distinct_ids(
         range(level0.n_atoms), level0._masses

@@ -53,24 +53,14 @@ def shannon_bits(probabilities: Iterable[float] | np.ndarray) -> float:
     p = np.asarray(probabilities, dtype=float).ravel()
     if p.size == 0:
         return 0.0
-    if p.size <= _TERM_BLOCK:
-        total = _sum_of_terms(p, np.empty(p.size)) if p.min() > 0.0 else np.nan
-    elif p[:_TERM_BLOCK].min() > 0.0:
-        # only the first block is checked: past it an entry that is not
-        # positive makes its term NaN, which ends the sum at its block, so
-        # a long p is read once
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total = _sum_of_terms(p, np.empty(_TERM_BLOCK))
-    else:
-        total = np.nan
-    if total != total:  # summed again over the positive entries alone
+    if not p.min() > 0.0:
         p = p[p > 0.0]
         if p.size == 0:
             return 0.0
-        total = _sum_of_terms(p, np.empty(min(p.size, _TERM_BLOCK)))
+    buffer = np.empty(min(p.size, _TERM_BLOCK))
     # negating the sum gives the bytes of summing the negated terms; the
     # + 0.0 turns a signed zero from rounding into plain 0.0
-    return float(-total) + 0.0
+    return float(-_sum_of_terms(p, buffer)) + 0.0
 
 
 #: Entries per block of ``shannon_bits`` terms, computed in one buffer.
@@ -85,7 +75,7 @@ def _sum_of_terms(p: np.ndarray, buffer: np.ndarray) -> np.float64:
     multiple of 8, and adds the sums of the two pieces. Splitting the same
     way until a piece fits the buffer and letting numpy sum each piece
     gives the bytes of one sum over all the terms, without a temporary as
-    long as ``p``. A NaN sum of the first piece is returned as it is.
+    long as ``p``.
     """
     n = p.size
     if n <= buffer.size:
@@ -95,10 +85,7 @@ def _sum_of_terms(p: np.ndarray, buffer: np.ndarray) -> np.float64:
         return terms.sum()
     half = n // 2
     half -= half % 8
-    low = _sum_of_terms(p[:half], buffer)
-    if low != low:  # NaN
-        return low
-    return low + _sum_of_terms(p[half:], buffer)
+    return _sum_of_terms(p[:half], buffer) + _sum_of_terms(p[half:], buffer)
 
 
 def _check_probabilities(p: np.ndarray, one: str, many: str) -> None:

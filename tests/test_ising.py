@@ -46,6 +46,30 @@ class TestCouplingTypes:
         with pytest.raises(ValidationError):
             CouplingVector(0.0, float("nan"))
 
+    @pytest.mark.parametrize(
+        "k0, k1",
+        [(1, 10), (0, 1), (-3, 127), (0, 300), (np.int8(2), np.int64(-5)),
+         (np.float32(0.3), np.float32(-1.7)), (np.float16(0.5), 2)],
+    )
+    def test_couplings_are_stored_as_floats(self, k0, k1):
+        # products with the int8 configuration sums must be float64 and
+        # equal those of the float tuple, on every route that takes them
+        k = CouplingVector(k0, k1)
+        assert type(k.k0) is float and type(k.k1) is float
+        floats = (float(k0), float(k1))
+        assert (k.k0, k.k1) == floats
+        assert k == CouplingVector(*floats)
+        g = gibbs_space(k, 12)
+        assert g.space.weight_array.tobytes() == gibbs_space(floats, 12).space.weight_array.tobytes()
+        assert g.log_normalization == gibbs_space(floats, 12).log_normalization
+        assert log_partition_function_bruteforce(k, 12) == (
+            log_partition_function_bruteforce(floats, 12)
+        )
+        if abs(k1) < 40:
+            assert partition_function_bruteforce(k, 12) == (
+                partition_function_bruteforce(floats, 12)
+            )
+
     def test_v_frame_round_trip(self):
         k = CouplingVector(0.4, -1.1)
         v = k.v

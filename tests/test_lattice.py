@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -738,6 +739,50 @@ class TestShapeSkeleton:
         assert lattice._skeleton.cache_info()[:2] == (0, 2)
         assert flow_bytes(majority) != flow_bytes(last)
         assert flow_bytes(last) == flow_bytes(cold_flow(k, 16, 2, 4, last_site))
+
+    def test_a_rule_with_state_is_called_on_every_call(self):
+        # the shape holds the rule's values, not the rule, so a rule whose
+        # values change between calls never reuses a stale grouping
+        class SiteRule:
+            site = 0
+
+            def __call__(self, block):
+                return block[:, self.site]
+
+        k = (0.3, -0.5)
+        expected = [flow_bytes(cold_flow(k, 8, 2, 3, fixed))
+                    for fixed in (majority_first_site, last_site)]
+        assert expected[0] != expected[1]
+        rule = SiteRule()
+        for site in (0, 1, 1, 0):
+            rule.site = site
+            got = rg_entropy_flow(k, 8, 2, 3, block_map=rule)
+            assert flow_bytes(got) == expected[site]
+
+    def test_an_unhashable_rule_is_accepted(self):
+        @dataclass
+        class Rule:
+            site: int
+
+            def __call__(self, block):
+                return block[:, self.site]
+
+        with pytest.raises(TypeError):
+            hash(Rule(1))
+        r = rg_entropy_flow((0.2, 0.9), 8, 2, 3, block_map=Rule(1))
+        assert flow_bytes(r) == flow_bytes(cold_flow((0.2, 0.9), 8, 2, 3, last_site))
+        # a fresh lambda per call still finds the shape
+        before = lattice._skeleton.cache_info().hits
+        rg_entropy_flow((0.4, 0.1), 8, 2, 3, block_map=lambda b: b[:, -1])
+        assert lattice._skeleton.cache_info().hits == before + 1
+
+    @pytest.mark.parametrize("k", [CouplingVector(0, 1), CouplingVector(1, 10),
+                                   CouplingVector(np.float32(0.3), np.float32(-2.5))])
+    def test_couplings_of_any_real_type_give_the_float_flow(self, k):
+        floats = (float(k.k0), float(k.k1))
+        assert flow_bytes(rg_entropy_flow(k, 16, 2, 4)) == (
+            flow_bytes(cold_flow(floats, 16, 2, 4))
+        )
 
     def test_the_cap_still_refuses_on_a_warm_cache(self, monkeypatch):
         monkeypatch.delenv(ENV_CONFIG_CAP, raising=False)
