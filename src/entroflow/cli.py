@@ -472,6 +472,8 @@ def _cmd_ising_rg_sweep(args) -> _Output:
         raise ValidationError("--seed is mandatory with --sweep-random")
     if args.sweep_random < 1:
         raise ValidationError(f"--sweep-random must be positive, got {args.sweep_random}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     worst = {"v0": 0.0, "v1": 0.0, "c": 0.0}
     rows = []

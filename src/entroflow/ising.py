@@ -22,7 +22,9 @@ produced by :func:`inverse_rg_step_zero_field`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -183,10 +185,15 @@ def log_partition_function(k: CouplingVector | Iterable[float], n_sites: int) ->
     cancels; there lambda_+ + lambda_- = 2 e^{K1} cosh K0 gives
     1 - |r| = 2 e^{K1} cosh K0 / lambda_+ without cancellation, and
     1 - |r|^N = -expm1(N log1p(-(1 - |r|))). When |r| <= 1/2, log |r| is
-    taken directly.
+    taken directly. A chain longer than the largest double, or a log Z
+    past it, is refused.
     """
     kk = _as_coupling(k)
     n = _validate_chain_length(n_sites)
+    if n > sys.float_info.max:
+        raise ValidationError(
+            f"a chain of more than {sys.float_info.max!r} sites leaves the double range"
+        )
     lam_plus, lam_minus = eigenvalues(kk)
     ratio = lam_minus / lam_plus
     if ratio < 0.0 and n % 2 == 1:
@@ -195,7 +202,10 @@ def log_partition_function(k: CouplingVector | Iterable[float], n_sites: int) ->
         tail = math.log(-math.expm1(n * log_abs))
     else:
         tail = math.log1p(ratio**n)
-    return n * math.log(lam_plus) + tail
+    log_z = n * math.log(lam_plus) + tail
+    if not math.isfinite(log_z):
+        raise ValidationError(f"log Z exceeds the largest double {sys.float_info.max!r}")
+    return log_z
 
 
 def partition_function(k: CouplingVector | Iterable[float], n_sites: int) -> float:
@@ -261,29 +271,34 @@ def _validate_bruteforce_length(n_sites: int) -> int:
 def _shifted_boltzmann(exponent: np.ndarray) -> tuple[np.ndarray, float]:
     """exp(exponent - top) for the largest exponent top, and log sum exp(exponent).
 
-    Every weight lies in [0, 1], so the log of the sum stays finite where
-    the plain sum of exp(exponent) would overflow.
+    The weights are written over ``exponent``. Every weight lies in
+    [0, 1], so the log of the sum stays finite where the plain sum of
+    exp(exponent) would overflow.
     """
     top = exponent.max()
-    boltzmann = np.exp(exponent - top)
+    boltzmann = np.exp(np.subtract(exponent, top, out=exponent), out=exponent)
     return boltzmann, float(top + np.log(boltzmann.sum()))
 
 
+@lru_cache(maxsize=1)
 def _field_and_bond_sums(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_i S_i and sum_i S_i S_{i+1} for every configuration index, as int8.
+    """sum_i S_i and sum_i S_i S_{i+1} for every configuration index, read-only int8.
 
     Index i has spin j down when bit j is set (the layout of
     :func:`spin_configurations`), so the field sum is n - 2 popcount(i)
     and the periodic bond sum is n - 2 popcount(i XOR rot(i)), where
     rot(i) moves bit j + 1 to bit j and bit 0 to bit n - 1. Both lie in
-    [-n, n], and the brute force stops at n = 20.
+    [-n, n], and the brute force stops at n = 20. Only the last chain
+    length is kept.
     """
     n = int(n_sites)
     index = np.arange(1 << n, dtype=np.uint32)
     rotated = (index >> 1) | ((index & 1) << (n - 1))
     down = np.bitwise_count(index).astype(np.int8)
     broken = np.bitwise_count(index ^ rotated).astype(np.int8)
-    return n - 2 * down, n - 2 * broken
+    field, bonds = n - 2 * down, n - 2 * broken
+    field.flags.writeable = bonds.flags.writeable = False
+    return field, bonds
 
 
 def spin_configurations(n_sites: int) -> np.ndarray:
@@ -293,9 +308,11 @@ def spin_configurations(n_sites: int) -> np.ndarray:
     so index 0 is the all-up configuration.
     """
     n = int(n_sites)
-    idx = np.arange(2**n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n)) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    index = np.arange(1 << n, dtype=np.uint32)
+    spins = np.empty((index.size, n), dtype=np.int8)
+    for j in range(n):
+        spins[:, j] = 1 - 2 * ((index >> j) & 1).astype(np.int8)
+    return spins
 
 
 def rg_step_closed(v: VVector) -> tuple[VVector, float]:

@@ -20,27 +20,26 @@ sign pattern, and range-checked there, even on patterns no configuration
 shows. Site blockings and chained levels are then one and the same table
 lookup on the packed integers, whose results are the partition keys.
 
-Only level 0 touches the configurations. Every higher level is a
-function of the level-0 code, so it is computed on the quotient space
+Only level 0 is computed from the configurations. Every higher level is
+a function of the level-0 code, so it is computed on the quotient space
 with one point per level-0 atom (at most 256 at the cap with blocks of
 2), weighted by the atom's mass, and the nesting of the levels is
-checked there on every call. A level's entropy sums the Gibbs weights of
-its atoms over the configurations, in the order ``entropy`` uses, so it
-has the same bytes as the entropy of the level's partition of the Gibbs
-space. The plateau verdicts are read from those entropies, each computed
-once; the flow on the Gibbs space and its reverse (the refinement flow)
-are built only when read.
+checked there on every call. A configuration then takes the label of its
+level-0 atom, which makes each level a partition of the Gibbs space, and
+each level's entropy is that partition's. The plateau verdicts are read
+from those entropies, each computed once; the flow of those partitions
+and its reverse (the refinement flow) are validated only when read.
 
 None of that grouping depends on the couplings once the zero-weight
 configurations are fixed. So it is built once per shape, the tuple
 (sites, block size, levels, the rule's values on the sign patterns of one
-block, zero-weight configurations): the level-0 codes and their grouping,
-the quotient grouping of every level and each level's runs over the
-configurations. Only the last shape is kept, with the int8 field and bond
-sums of the last chain length. A call tables the block rule (2^b
-patterns), exponentiates and normalizes the weights, sums them along the
-kept runs (one gather and one ``np.add.reduceat`` per level), and builds
-and validates the quotient flow.
+block, zero-weight configurations): one grouping of the configurations
+per level and one of the quotient points per level. Only the last shape
+is kept, as are the int8 field and bond sums of the last chain length. A
+call tables the block rule (2^b patterns), exponentiates and normalizes
+the weights, sums them over each level's atoms (one gather and one
+``np.add.reduceat`` per level), and builds and validates the quotient
+flow.
 
 Configuration enumeration is exact and capped at 2^16 configurations; the
 environment variable ENTROFLOW_MAX_CONFIGS may lower (never raise) that
@@ -264,36 +263,25 @@ def gibbs_space(
     if n < 2:
         raise ValidationError(f"need at least 2 sites, got {n_sites}")
     cap = effective_config_cap()
-    if 2**n > cap:
+    if n >= cap.bit_length():  # 2^n > cap, without building 2^n
+        count = 2**n if n <= 64 else f"2^{n}"
         raise ResourceCapError(
-            f"{2**n} configurations exceed the cap of {cap} "
+            f"{count} configurations exceed the cap of {cap} "
             f"({ENV_CONFIG_CAP} lowers it, never raises it)"
         )
-    field, bonds = _config_sums(n)
-    # named, so that it lives until the space is built: freed sooner, it
-    # moved the heap top, and the page faults slowed a cap-sized
-    # entropy-flow by 6-8% (glibc malloc, 2-core Linux host)
-    exponent = kk.k0 * field + kk.k1 * bonds
-    boltzmann, log_z = _shifted_boltzmann(exponent)
-    weights = boltzmann / boltzmann.sum()
+    field, bonds = _field_and_bond_sums(n)
+    # one buffer from the exponent to the weights: a new array per step
+    # made the heap grow and shrink by about 1 MB on every cap-sized call
+    # (224 minor page faults per call, glibc malloc, 2-core Linux host)
+    weights = kk.k0 * field
+    weights += kk.k1 * bonds
+    weights, log_z = _shifted_boltzmann(weights)
+    weights /= weights.sum()
     # the second rescaling gives the bytes of make_space(..., normalize=True)
     # on the once-normalized weights
-    space = FiniteProbabilitySpace._from_distinct_ids(
-        _ConfigIds(n), weights / float(weights.sum())
-    )
+    weights /= float(weights.sum())
+    space = FiniteProbabilitySpace._from_distinct_ids(_ConfigIds(n), weights)
     return IsingGibbsSpace(coupling=kk, n_sites=n, space=space, log_normalization=log_z)
-
-
-@lru_cache(maxsize=1)
-def _config_sums(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """The field and bond sums of every configuration, read-only int8.
-
-    Only the last chain length is kept.
-    """
-    sums = _field_and_bond_sums(n_sites)
-    for a in sums:
-        a.setflags(write=False)
-    return sums
 
 
 def _rule_table(block_map: BlockMap, length: int) -> np.ndarray:
@@ -367,32 +355,17 @@ def induced_config_partition(
     return Partition._from_labels(gibbs.space, keys)
 
 
-def _through(quotient: np.ndarray, level0: np.ndarray) -> np.ndarray:
-    """A quotient partition's labels carried to every point of the Gibbs space.
-
-    The quotient's point j is level-0 atom j, so a point takes the label of
-    its level-0 atom; zero-weight points (level-0 label -1) read the padded
-    last slot and keep -1. Level-0 atoms are numbered by their first point,
-    so a coarser atom's first point opens its first level-0 atom and the
-    labels come out canonical.
-    """
-    padded = np.append(quotient, -1)
-    return padded[level0]
-
-
 @dataclass(frozen=True, eq=False)
 class _Skeleton:
     """What a block-spin flow keeps of one shape: no coupling changes it.
 
-    ``level0`` groups the configurations into level-0 atoms, ``quotient``
-    groups the quotient points (the level-0 atoms) into each level's
-    atoms, level 0 first, and ``runs`` holds each level above 0 as the
-    (order, starts) runs ``_label_runs`` gives over the configurations.
+    ``levels`` groups the configurations into each level's atoms and
+    ``quotient`` groups the quotient points (the level-0 atoms) the same
+    way, one grouping per level, level 0 first.
     """
 
-    level0: _Grouping
+    levels: tuple[_Grouping, ...]
     quotient: tuple[_Grouping, ...]
-    runs: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @lru_cache(maxsize=1)
@@ -431,24 +404,24 @@ def _skeleton(
     for level in range(1, levels):
         atom_codes = _block_codes(atom_codes, runs(level), table_of)
         quotient.append(_canonical_grouping(atom_codes, None))
-    return _Skeleton(
-        level0=level0,
-        quotient=tuple(quotient),
-        runs=tuple(
-            _label_runs(_through(q.labels, level0.labels), q.n_atoms) for q in quotient[1:]
-        ),
-    )
+    # a configuration takes the label of its level-0 atom, and a zero-weight
+    # one (-1) the padded last slot; level-0 atoms are numbered by their
+    # first point, so a coarser atom's first point opens its first level-0
+    # atom and the labels come out canonical
+    coarser = (_label_runs(np.append(q.labels, -1)[level0.labels], q.n_atoms)
+               for q in quotient[1:])
+    return _Skeleton(levels=(level0, *coarser), quotient=tuple(quotient))
 
 
 @dataclass(frozen=True)
 class RgEntropyFlowResult:
     """Entropy profile of a chained block-spin coarse graining.
 
-    ``level0`` is the level-0 partition of the Gibbs space and
-    ``quotient_flow`` the validated coarse-graining flow of every level on
-    the quotient space, whose point j is level-0 atom j weighted by its
-    mass. ``coarse_flow``, the same levels as partitions of the Gibbs
-    space, and its reverse ``refinement_flow`` are built and validated on
+    ``partitions`` holds every level as a partition of the Gibbs space,
+    level 0 first, and ``quotient_flow`` the validated coarse-graining flow
+    of the same levels on the quotient space, whose point j is level-0
+    atom j weighted by its mass. ``coarse_flow``, the flow of
+    ``partitions``, and its reverse ``refinement_flow`` are validated on
     first read.
     """
 
@@ -458,22 +431,20 @@ class RgEntropyFlowResult:
     levels: int
     entropies: tuple[float, ...]
     atom_counts: tuple[int, ...]
-    level0: Partition
+    partitions: tuple[Partition, ...]
     quotient_flow: PartitionFlow
     coarse_verdict: LimitPointVerdict
     refinement_verdict: LimitPointVerdict
 
+    @property
+    def level0(self) -> Partition:
+        """The level-0 partition of the Gibbs space."""
+        return self.partitions[0]
+
     @cached_property
     def coarse_flow(self) -> PartitionFlow:
-        """The levels as partitions of the Gibbs space, built and validated on first read."""
-        space = self.level0.space
-        coarser = (
-            Partition._from_labels(
-                space, _through(q.atom_index_array, self.level0.atom_index_array)
-            )
-            for q in self.quotient_flow.sequence[1:]
-        )
-        return PartitionFlow(space, (self.level0, *coarser), "coarse-graining")
+        """The levels as partitions of the Gibbs space, validated on first read."""
+        return PartitionFlow(self.level0.space, self.partitions, "coarse-graining")
 
     @cached_property
     def refinement_flow(self) -> PartitionFlow:
@@ -496,19 +467,19 @@ def rg_entropy_flow(
     they are computed once per level-0 atom: on the quotient space with
     one point per level-0 atom, weighted by its mass. The levels there
     nest by construction and are validated as a coarse-graining flow on
-    every call. Each entropy sums the Gibbs weights of its atoms point by
-    point, in the order ``entropy`` uses on the Gibbs space, so it has the
-    same bytes. Both directions' plateau verdicts are read from those
-    entropies (trivially witnessed for a single level); the flows on the
-    Gibbs space are built on first read.
+    every call. Every level is also a partition of the Gibbs space, and
+    each entropy is that partition's. Both directions' plateau verdicts
+    are read from those entropies (trivially witnessed for a single
+    level); the flows of those partitions are validated on first read.
 
     Per shape (sites, block size, levels, the block rule's values on the
     sign patterns of one block, and the zero-weight configurations) the
-    codes, groupings and runs are built once and the last shape is kept;
-    per call the rule is called once, the Gibbs weights are computed,
-    summed once per level along the kept runs, and the quotient flow is
-    built and validated. The labels of ``level0`` and of the quotient flow are
-    shared between calls of one shape and cannot be written.
+    codes and one grouping of the configurations and one of the quotient
+    points per level are built once, and the last shape is kept. Per call
+    the rule is called once, the Gibbs weights are computed and summed
+    over each level's atoms, and the quotient flow is built and
+    validated. The labels of every partition are shared between calls of
+    one shape and cannot be written.
     """
     if levels < 1:
         raise ValidationError(f"levels must be at least 1, got {levels}")
@@ -521,17 +492,14 @@ def rg_entropy_flow(
     rule = _rule_table(block_map, spec.block_size).tobytes()
     zeros = b"" if space._positive is None else np.flatnonzero(~space._positive).tobytes()
     skeleton = _skeleton(gibbs.n_sites, spec.block_size, levels, rule, zeros)
-    level0 = Partition._from_grouping(space, skeleton.level0)
+    partitions = tuple(Partition._from_grouping(space, g) for g in skeleton.levels)
+    level0 = partitions[0]
     quotient = FiniteProbabilitySpace._from_distinct_ids(
         range(level0.n_atoms), level0._masses
     )
-    partitions = tuple(Partition._from_grouping(quotient, q) for q in skeleton.quotient)
-    flow = PartitionFlow(quotient, partitions, "coarse-graining")
-    # each atom's weights in point order, the sum ``entropy`` takes
-    masses = [level0._masses] + [
-        np.add.reduceat(space.weight_array[order], starts) for order, starts in skeleton.runs
-    ]
-    entropies = tuple(shannon_bits(m) for m in masses)
+    on_quotient = tuple(Partition._from_grouping(quotient, q) for q in skeleton.quotient)
+    flow = PartitionFlow(quotient, on_quotient, "coarse-graining")
+    entropies = tuple(shannon_bits(p._masses) for p in partitions)
     if levels == 1:
         trivial = LimitPointVerdict("witnessed", 0, 0.0)
         coarse_verdict = refinement_verdict = trivial
@@ -545,7 +513,7 @@ def rg_entropy_flow(
         levels=levels,
         entropies=entropies,
         atom_counts=tuple(p.n_atoms for p in partitions),
-        level0=level0,
+        partitions=partitions,
         quotient_flow=flow,
         coarse_verdict=coarse_verdict,
         refinement_verdict=refinement_verdict,

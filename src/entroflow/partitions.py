@@ -377,15 +377,19 @@ def _point_indices(atom: Iterable[int]) -> list[int]:
     raise ValidationError(f"point index {entry!r} is not an integer")
 
 
-def _label_runs(labels: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Point indices grouped by label, and where each atom's run starts.
+def _label_runs(labels: np.ndarray, n_atoms: int) -> _Grouping:
+    """The grouping of canonical labels, which it makes read-only.
 
-    ``labels`` holds 0 .. n_atoms - 1 per point, or -1 for a point in no
-    atom; those points form a leading run that no atom uses.
+    ``labels`` holds 0 .. n_atoms - 1 per point, atoms numbered by their
+    first point, or -1 for a point in no atom. One stable sort groups the
+    points by label; those of -1 lead it and are left out of ``order``.
     """
+    labels.setflags(write=False)
     keys = labels + 1
     counts = np.bincount(keys, minlength=n_atoms + 1)
-    return _stable_order(keys, n_atoms + 1), np.cumsum(counts)[:-1]
+    order = _stable_order(keys, n_atoms + 1)[counts[0] :]
+    starts = np.cumsum(counts)[:-1] - counts[0]
+    return _Grouping(labels.view(), n_atoms, order, starts, np.arange(n_atoms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,8 +505,8 @@ class Partition:
     @cached_property
     def atoms(self) -> tuple[frozenset[int], ...]:
         """Atoms as frozensets of point indices, in label order."""
-        order, starts = _label_runs(self.atom_index_array, self.n_atoms)
-        return tuple(frozenset(g.tolist()) for g in np.split(order, starts)[1:])
+        runs = _label_runs(self.atom_index_array, self.n_atoms)
+        return tuple(frozenset(g.tolist()) for g in np.split(runs.order, runs.starts[1:]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -209,6 +210,12 @@ class TestExitCodes:
             "", "error: --sweep-random must be positive, got 0\n"
         )
 
+    def test_sweep_with_a_negative_seed(self, capsys):
+        code = run(["ising-rg", "--v0", "0.5", "--v1", "0.5", "--sweep-random", "2",
+                    "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: --seed must be nonnegative, got -1\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -225,6 +232,41 @@ class TestExitCodes:
         code = run(["entropy-flow", "--k0", "0", "--k1", "0", "--sites", "32"])
         assert code == 3
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sites", [20000, 1000000])
+    def test_a_huge_chain_is_refused_at_once(self, capsys, sites):
+        # 2^sites has more digits than Python prints, so it is never built
+        started = time.perf_counter()
+        code = run(["entropy-flow", "--k0", "0", "--k1", "0", "--sites", str(sites)])
+        assert time.perf_counter() - started < 2.0
+        assert code == 3
+        assert capsys.readouterr() == ("", (
+            f"error: 2^{sites} configurations exceed the cap of 65536 "
+            "(ENTROFLOW_MAX_CONFIGS lowers it, never raises it)\n"
+        ))
+
+    @pytest.mark.parametrize(
+        "k, n, message",
+        [
+            # log Z = n log(lambda_+) is about 6e309
+            ("300", 10**307, "log Z exceeds the largest double 1.7976931348623157e+308"),
+            ("0.1", 10**309, "a chain of more than 1.7976931348623157e+308 sites "
+                             "leaves the double range"),
+        ],
+        ids=["log-z", "n"],
+    )
+    @pytest.mark.parametrize("log", [[], ["--log"]], ids=["z", "log"])
+    def test_ising_z_past_the_double_range(self, capsys, k, n, message, log):
+        code = run(["ising-z", "--k0", k, "--k1", k, "--n", str(n), *log])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_ising_z_on_a_long_finite_chain(self, capsys):
+        n = 10**31 + 1
+        assert run(["ising-z", "--k0", "0.1", "--k1", "-0.5", "--n", str(n), "--log"]) == 0
+        assert capsys.readouterr() == (
+            f'{{"k0": 0.1, "k1": -0.5, "log_z": 8.151019940733322e+30, "n": {n}}}\n', ""
+        )
 
     def test_word_cap_exit(self, capsys):
         code = run(

@@ -1,6 +1,8 @@
-"""Every name a package module imports is read there or exported by it."""
+"""Every name a package module imports is read there or exported by it, and
+every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,35 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["Sequence"]
     assert unused_imports("from .a import g\n__all__ = ['g']\n") == []
     assert unused_imports("import numpy as np\nimport os.path\nos.sep\n") == ["np"]
+
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def missing_traced_names(source: str) -> list[str]:
+    """The ``entroflow.<module>.<name>`` entries of a ``LAYERS`` table that do not exist.
+
+    The table is read from the source with ``ast``, so the tracer is not
+    imported.
+    """
+    tree = ast.parse(source)
+    tables = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    ]
+    assert len(tables) == 1, "no single LAYERS table"
+    missing = []
+    for module, names in ast.literal_eval(tables[0]).items():
+        namespace = importlib.import_module(f"entroflow.{module}")
+        missing += [f"entroflow.{module}.{n}" for n in names if not hasattr(namespace, n)]
+    return missing
+
+
+def test_every_traced_name_exists():
+    assert missing_traced_names(TRACING.read_text()) == []
+
+
+def test_the_check_sees_a_missing_traced_name():
+    source = 'LAYERS = {"lattice": ("gibbs_space", "_gone"), "flows": ("reverse",)}\n'
+    assert missing_traced_names(source) == ["entroflow.lattice._gone"]

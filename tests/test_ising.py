@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +241,35 @@ class TestPartitionFunction:
         assert configs.shape == (4, 2)
         assert configs[0].tolist() == [1, 1]
         assert set(np.unique(configs)) == {-1, 1}
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_spin_configurations_match_the_bit_formula(self, n):
+        bits = (np.arange(2**n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+        expected = (1 - 2 * bits).astype(np.int8)
+        configs = spin_configurations(n)
+        assert configs.dtype == np.int8 and configs.flags.c_contiguous
+        assert np.array_equal(configs, expected)
+
+    @pytest.mark.parametrize(
+        "k, n, message",
+        [
+            (CouplingVector(300.0, 300.0), 10**307, "log Z exceeds the largest double"),
+            (CouplingVector(0.1, 0.1), 10**309, "more than 1.79769"),
+            (CouplingVector(0.1, -0.5), 10**309 + 1, "more than 1.79769"),
+        ],
+        ids=["log-z", "n", "odd-frustrated-n"],
+    )
+    def test_past_the_double_range_is_refused(self, k, n, message):
+        with pytest.raises(ValidationError, match=message):
+            log_partition_function(k, n)
+        with pytest.raises(ValidationError, match=message):
+            partition_function(k, n)
+
+    def test_the_largest_chain_length_is_finite(self):
+        n = int(sys.float_info.max)
+        assert math.isfinite(log_partition_function(CouplingVector(0.0, 0.0), n))
+        with pytest.raises(ValidationError, match="more than"):
+            log_partition_function(CouplingVector(0.0, 0.0), n + 1)
 
 
 class TestRgStepClosed:

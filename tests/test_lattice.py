@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import flows, lattice, partitions
+from entroflow import flows, ising, lattice, partitions
 from entroflow import (
     DEFAULT_CONFIG_CAP,
     ENV_CONFIG_CAP,
@@ -336,7 +336,8 @@ def chained_level_keys(n, block, levels, rule=None):
     """Level keys from +-1 rows: the rule chained over int8 block variables.
 
     Without a rule, majority with ties to the block's first site is
-    computed inline; rows are grouped with np.unique.
+    computed inline; a rule is called on the rows of one block position
+    at a time. Rows are grouped with np.unique.
     """
     variables = pm1_spins(n)
     keys = []
@@ -347,7 +348,7 @@ def chained_level_keys(n, block, levels, rule=None):
             variables = np.where(totals != 0, np.sign(totals), blocks[:, :, 0])
         else:
             variables = np.stack(
-                [[rule(b[None, :])[0] for b in row] for row in blocks]
+                [rule(blocks[:, t, :]) for t in range(blocks.shape[1])], axis=1
             )
         variables = variables.astype(np.int8)
         _, inverse = np.unique(variables, axis=0, return_inverse=True)
@@ -605,9 +606,16 @@ class TestQuotientLevels:
         assert "coarse_flow" not in vars(r)
         flow = r.coarse_flow
         assert flow.direction == "coarse-graining"
-        assert flow[0] is r.level0
+        assert flow.sequence == r.partitions and flow[0] is r.level0
         assert [p.n_atoms for p in flow] == list(r.atom_counts)
-        assert [entropy(p).hex() for p in flow] == [h.hex() for h in r.entropies]
+        space = r.level0.space
+        rule = None if block_map is majority_first_site else block_map
+        keys = chained_level_keys(sites, block, levels, rule=rule)
+        for level, (p, level_keys) in enumerate(zip(r.partitions, keys, strict=True)):
+            reference = Partition._from_labels(space, level_keys)
+            assert np.array_equal(p.atom_index_array, reference.atom_index_array)
+            assert p._masses.tobytes() == reference._masses.tobytes()
+            assert r.entropies[level].hex() == entropy(reference).hex()
         quotient = r.quotient_flow.space
         assert quotient.size == r.level0.n_atoms
         assert quotient.weight_array.tobytes() == r.level0._masses.tobytes()
@@ -631,9 +639,19 @@ class TestQuotientLevels:
             return is_coarsening(coarse, fine)
 
         monkeypatch.setattr(flows, "is_coarsening", recording)
+        sorted_sizes = []
+        stable_order = partitions._stable_order
+
+        def recording_sort(codes, span):
+            sorted_sizes.append(codes.size)
+            return stable_order(codes, span)
+
+        monkeypatch.setattr(partitions, "_stable_order", recording_sort)
         assert "coarse_flow" not in vars(r)
         flow = r.coarse_flow
         assert checked == [2**16] * 3
+        assert sorted_sizes == []  # the levels are r.partitions, not sorted again
+        assert flow.sequence == r.partitions
         assert vars(r)["coarse_flow"] is flow is r.coarse_flow
         assert checked == [2**16] * 3
         for level, keys in enumerate(chained_level_keys(16, 2, 4)):
@@ -649,7 +667,8 @@ class TestQuotientLevels:
         self, monkeypatch, sites, block, levels
     ):
         clear_shape_caches()
-        sizes = {"_block_codes": [], "_canonical_grouping": [], "is_coarsening": []}
+        sizes = {"_block_codes": [], "_canonical_grouping": [], "_label_runs": [],
+                 "is_coarsening": []}
 
         def recording(name, real, size_of):
             def wrapper(*args, **kwargs):
@@ -664,6 +683,8 @@ class TestQuotientLevels:
                              lambda keys, positive: keys.size)
         monkeypatch.setattr(partitions, "_canonical_grouping", grouping)
         monkeypatch.setattr(lattice, "_canonical_grouping", grouping)
+        monkeypatch.setattr(lattice, "_label_runs", recording(
+            "_label_runs", partitions._label_runs, lambda labels, n_atoms: labels.size))
         monkeypatch.setattr(flows, "is_coarsening", recording(
             "is_coarsening", is_coarsening, lambda coarse, fine: fine.space.size))
         r = rg_entropy_flow((0.1, -0.9), sites, block, levels)
@@ -671,6 +692,8 @@ class TestQuotientLevels:
         atoms = r.atom_counts[0]
         assert sizes["_block_codes"] == [full] + [atoms] * (levels - 1)
         assert sizes["_canonical_grouping"] == [full] + [atoms] * levels
+        # the one configuration-sized grouping of each level above 0
+        assert sizes["_label_runs"] == [full] * (levels - 1)
         assert sizes["is_coarsening"] == [atoms] * (levels - 1)
         # a warm call at another coupling re-sums the weights only
         for record in sizes.values():
@@ -678,12 +701,13 @@ class TestQuotientLevels:
         assert rg_entropy_flow((0.6, 0.3), sites, block, levels).atom_counts == r.atom_counts
         assert sizes["_block_codes"] == []
         assert sizes["_canonical_grouping"] == []
+        assert sizes["_label_runs"] == []
         assert sizes["is_coarsening"] == [atoms] * (levels - 1)
 
 
 def clear_shape_caches():
     lattice._skeleton.cache_clear()
-    lattice._config_sums.cache_clear()
+    ising._field_and_bond_sums.cache_clear()
 
 
 def flow_bytes(r):
@@ -692,8 +716,7 @@ def flow_bytes(r):
     return (
         [h.hex() for h in r.entropies],
         r.atom_counts,
-        r.level0.atom_index_array.tobytes(),
-        r.level0._masses.tobytes(),
+        [(p.atom_index_array.tobytes(), p._masses.tobytes()) for p in r.partitions],
         quotient.space.weight_array.tobytes(),
         [(p.atom_index_array.tobytes(), p._masses.tobytes()) for p in quotient],
         r.coarse_verdict.to_record(),
@@ -795,14 +818,15 @@ class TestShapeSkeleton:
 
     def test_shared_labels_cannot_be_written(self):
         r = rg_entropy_flow((0.3, -0.8), 8, 2, 3)
-        for labels in [r.level0.atom_index_array,
+        for labels in [*(p.atom_index_array for p in r.partitions),
                        *(p.atom_index_array for p in r.quotient_flow)]:
             with pytest.raises(ValueError, match="read-only"):
                 labels[0] = 5
             with pytest.raises(ValueError, match="WRITEABLE"):
                 labels.setflags(write=True)
         warm = rg_entropy_flow((0.3, -0.8), 8, 2, 3)
-        assert warm.level0.atom_index_array is r.level0.atom_index_array  # shared
+        for p, q in zip(warm.partitions, r.partitions, strict=True):
+            assert p.atom_index_array is q.atom_index_array  # shared
         assert flow_bytes(warm) == flow_bytes(cold_flow((0.3, -0.8), 8, 2, 3))
 
 
