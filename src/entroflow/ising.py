@@ -39,7 +39,6 @@ __all__ = [
     "TransferMatrix",
     "VVector",
     "eigenvalues",
-    "eigenvalues_oracle",
     "inverse_rg_step_zero_field",
     "log_partition_function",
     "log_partition_function_bruteforce",
@@ -162,12 +161,6 @@ def eigenvalues(k: CouplingVector | Iterable[float]) -> tuple[float, float]:
         scale * math.sinh(kk.k0), math.exp(-kk.k1)
     )
     return lam_plus, 2.0 * math.sinh(2.0 * kk.k1) / lam_plus
-
-
-def eigenvalues_oracle(k: CouplingVector | Iterable[float]) -> tuple[float, float]:
-    """Eigenvalues from a dense symmetric eigensolver, descending order."""
-    lo, hi = np.linalg.eigvalsh(transfer_matrix(k).matrix)
-    return (float(hi), float(lo))
 
 
 def _validate_chain_length(n_sites: int) -> int:
@@ -350,17 +343,25 @@ def rg_step_oracle(
     Squares T(K), extracts (K', c) from the three independent entries,
     and verifies the reconstruction c T(K') against T(K)^2 to 1e-12
     relative before returning. Disagreement raises
-    :class:`InconsistencyError` rather than returning a bad step.
+    :class:`InconsistencyError` rather than returning a bad step. A step
+    whose squared matrix, or the ratio or product of its diagonal, leaves
+    the double range is refused with a :class:`ValidationError`.
     """
     kk = _as_coupling(k)
     t = transfer_matrix(kk).matrix
-    squared = t @ t
+    with np.errstate(over="ignore"):
+        squared = t @ t
     upper = float(squared[0, 0])
     lower = float(squared[1, 1])
     cross = float(squared[0, 1])
-    k0_new = 0.5 * math.log(upper / lower)
-    k1_new = 0.25 * math.log(upper * lower / cross**2)
-    c = (upper * lower) ** 0.25 * math.sqrt(cross)
+    ratio, product = upper / lower, upper * lower
+    if not all(math.isfinite(x) and x > 0.0 for x in (ratio, product)):
+        raise ValidationError(
+            f"decimation oracle left the double range at K = ({kk.k0!r}, {kk.k1!r})"
+        )
+    k0_new = 0.5 * math.log(ratio)
+    k1_new = 0.25 * math.log(product / cross**2)
+    c = product**0.25 * math.sqrt(cross)
     coupling_new = CouplingVector(k0_new, k1_new)
     rebuilt = c * transfer_matrix(coupling_new).matrix
     residual = float(np.abs(rebuilt - squared).max() / np.abs(squared).max())

@@ -17,8 +17,8 @@ bit j of i is set, and each level's block variables are packed the same
 way, one bit per block. A block rule must act on each row on its own, so
 it is evaluated once per block length, on the (2^b, b) table of every
 sign pattern, and range-checked there, even on patterns no configuration
-shows. Site blockings and chained levels are then one and the same table
-lookup on the packed integers, whose results are the partition keys.
+shows. Site blockings and chained levels look up each block of the packed
+integers in that table; the results are the partition keys.
 
 Only level 0 is computed from the configurations. Every higher level is
 a function of the level-0 code, so it is computed on the quotient space
@@ -34,12 +34,12 @@ None of that grouping depends on the couplings once the zero-weight
 configurations are fixed. So it is built once per shape, the tuple
 (sites, block size, levels, the rule's values on the sign patterns of one
 block, zero-weight configurations): one grouping of the configurations
-per level and one of the quotient points per level. Only the last shape
-is kept, as are the int8 field and bond sums of the last chain length. A
-call tables the block rule (2^b patterns), exponentiates and normalizes
-the weights, sums them over each level's atoms (one gather and one
-``np.add.reduceat`` per level), and builds and validates the quotient
-flow.
+per level and one of the quotient points per level, each made by the
+function that numbers every partition. Only the last shape is kept, as
+are the int8 field and bond sums of the last chain length. A call tables
+the block rule (2^b patterns), exponentiates and normalizes the weights,
+sums them over each level's atoms (one gather and one ``np.add.reduceat``
+per level), and builds and validates the quotient flow.
 
 Configuration enumeration is exact and capped at 2^16 configurations; the
 environment variable ENTROFLOW_MAX_CONFIGS may lower (never raise) that
@@ -70,7 +70,6 @@ from .partitions import (
     Partition,
     _canonical_grouping,
     _Grouping,
-    _label_runs,
     make_space,
     shannon_bits,
 )
@@ -305,23 +304,17 @@ def _block_codes(
 ) -> np.ndarray:
     """Apply a block rule to runs of bits of every code.
 
-    Each run is a (first bit, length) pair, runs in bit order, and the
-    rule's value on run t becomes bit t of the result. Neighbouring runs
-    are looked up together, 12 // longest run at a time, through one table
-    built from ``table_of(length)`` over the bits they span; bits between
-    runs (sites left out) sit in its patterns and are ignored.
+    Each run is a (first bit, length) pair, and the rule's value on run t,
+    one lookup in ``table_of(length)``, becomes bit t of the result; bits
+    outside every run (sites left out) are ignored.
     """
-    group = max(1, 12 // max(length for _, length in runs))
     out = np.zeros_like(codes)
-    for start in range(0, len(runs), group):
-        chunk = runs[start : start + group]
-        low = chunk[0][0]
-        patterns = np.arange(1 << (chunk[-1][0] + chunk[-1][1] - low), dtype=np.int64)
-        wide = np.zeros_like(patterns)
-        for t, (first, length) in enumerate(chunk):
-            bits = (patterns >> (first - low)) & ((1 << length) - 1)
-            wide |= table_of(length)[bits] << t
-        out |= wide[(codes >> low) & (patterns.size - 1)] << start
+    for t, (first, length) in enumerate(runs):
+        # the mask works in place: at 2^16 codes each temporary can be a
+        # fresh mmap, and a third one per run made this loop twice as slow
+        bits = codes >> first
+        bits &= (1 << length) - 1
+        out |= (table_of(length) << t)[bits]
     return out
 
 
@@ -347,11 +340,8 @@ def induced_config_partition(
         if sites[-1] - sites[0] + 1 != len(sites):
             raise ValidationError(f"site block {sites} is not contiguous")
         runs.append((sites[0], len(sites)))
-    keys = _block_codes(
-        np.arange(gibbs.space.size, dtype=np.int64),
-        sorted(runs),
-        cache(partial(_rule_table, block_map)),
-    )
+    table_of = cache(partial(_rule_table, block_map))
+    keys = _block_codes(np.arange(gibbs.space.size, dtype=np.int64), runs, table_of)
     return Partition._from_labels(gibbs.space, keys)
 
 
@@ -376,8 +366,11 @@ def _skeleton(
 
     ``rule`` holds the rule table of one block (``_rule_table``) and
     ``zeros`` the indices of the zero-weight configurations, both as int64
-    bytes; ``zeros`` fixes the positive mask the level-0 grouping is made
-    under. Only the last shape is kept.
+    bytes; ``zeros`` fixes the positive mask of each configuration
+    grouping. ``_canonical_grouping`` groups level 0 by code, the quotient
+    levels by the codes of the level-0 atoms, and a coarser level by the
+    quotient label of each configuration's level-0 atom. Only the last
+    shape is kept.
     """
     b = block_size
     table = np.frombuffer(rule, dtype=np.int64)
@@ -395,21 +388,15 @@ def _skeleton(
         positive[np.frombuffer(zeros, dtype=np.int64)] = False
     codes = _block_codes(np.arange(size, dtype=np.int64), runs(0), table_of)
     level0 = _canonical_grouping(codes, positive)
-    # the level-0 code of each atom; zero-weight points write the last slot
-    atom_codes = np.empty(level0.n_atoms + 1, dtype=np.int64)
-    atom_codes[level0.labels] = codes
-    atom_codes = atom_codes[:-1]
+    # the level-0 code of each atom, read at the atom's first point
+    atom_codes = codes[level0.order[level0.starts[level0.by_first]]]
     # the atom masses are positive, so every quotient point is kept
     quotient = [_canonical_grouping(np.arange(level0.n_atoms), None)]
     for level in range(1, levels):
         atom_codes = _block_codes(atom_codes, runs(level), table_of)
         quotient.append(_canonical_grouping(atom_codes, None))
-    # a configuration takes the label of its level-0 atom, and a zero-weight
-    # one (-1) the padded last slot; level-0 atoms are numbered by their
-    # first point, so a coarser atom's first point opens its first level-0
-    # atom and the labels come out canonical
-    coarser = (_label_runs(np.append(q.labels, -1)[level0.labels], q.n_atoms)
-               for q in quotient[1:])
+    # each configuration reads its level-0 atom's label; the -1 ones are masked out
+    coarser = (_canonical_grouping(q.labels[level0.labels], positive) for q in quotient[1:])
     return _Skeleton(levels=(level0, *coarser), quotient=tuple(quotient))
 
 
@@ -461,8 +448,8 @@ def rg_entropy_flow(
 ) -> RgEntropyFlowResult:
     """Entropies along the chained block-spin flow, both directions.
 
-    Level 0 blocks the raw spins of every configuration, by the lookup
-    that site blockings use too. Each further level blocks the previous
+    Level 0 blocks the raw spins of every configuration, one table lookup
+    per block, as site blockings do. Each further level blocks the previous
     level's variables, and these are functions of the level-0 code, so
     they are computed once per level-0 atom: on the quotient space with
     one point per level-0 atom, weighted by its mass. The levels there
@@ -475,11 +462,12 @@ def rg_entropy_flow(
     Per shape (sites, block size, levels, the block rule's values on the
     sign patterns of one block, and the zero-weight configurations) the
     codes and one grouping of the configurations and one of the quotient
-    points per level are built once, and the last shape is kept. Per call
-    the rule is called once, the Gibbs weights are computed and summed
-    over each level's atoms, and the quotient flow is built and
-    validated. The labels of every partition are shared between calls of
-    one shape and cannot be written.
+    points per level are built once, by the grouping that numbers every
+    partition, and the last shape is kept. Per call the rule is called
+    once, the Gibbs weights are computed and summed over each level's
+    atoms, and the quotient flow is built and validated. The labels of
+    every partition are shared between calls of one shape and cannot be
+    written.
     """
     if levels < 1:
         raise ValidationError(f"levels must be at least 1, got {levels}")

@@ -153,7 +153,7 @@ class FiniteProbabilitySpace:
         self, point_ids: Iterable[Hashable], weights: Sequence[float] | np.ndarray
     ) -> None:
         """Validate distinct labels and finite, nonnegative, normalized weights."""
-        self._assign(tuple(point_ids), weights, distinct=False)
+        self._assign(tuple(point_ids), _float_array(weights, "weights"), distinct=False)
 
     @classmethod
     def _from_distinct_ids(
@@ -162,7 +162,8 @@ class FiniteProbabilitySpace:
         """A space whose labels are distinct by construction.
 
         The labels are kept as given (a lazy sequence stays lazy) and not
-        checked for repeats; the weights get every check.
+        checked for repeats. The caller's flat float64 array is kept, not
+        copied, and made read-only; its weights get every check.
         """
         self = object.__new__(cls)
         self._assign(point_ids, weights, distinct=True)
@@ -171,20 +172,19 @@ class FiniteProbabilitySpace:
     def _assign(
         self,
         point_ids: Sequence[Hashable],
-        weights: Sequence[float] | np.ndarray,
+        weights: np.ndarray,
         distinct: bool,
     ) -> None:
-        w = _float_array(weights, "weights")
         if len(point_ids) == 0:
             raise ValidationError("a probability space needs at least one point")
-        if len(point_ids) != len(w):
-            raise ValidationError(f"{len(point_ids)} point ids but {len(w)} weights")
+        if len(point_ids) != len(weights):
+            raise ValidationError(f"{len(point_ids)} point ids but {len(weights)} weights")
         if not distinct and _count_distinct(point_ids) != len(point_ids):
             raise ValidationError("duplicate point ids")
-        _check_probabilities(w, "weight", "weights")
-        w.setflags(write=False)
+        _check_probabilities(weights, "weight", "weights")
+        weights.setflags(write=False)
         object.__setattr__(self, "point_ids", point_ids)
-        object.__setattr__(self, "weight_array", w)
+        object.__setattr__(self, "weight_array", weights)
 
     @cached_property
     def weights(self) -> tuple[float, ...]:
@@ -377,21 +377,6 @@ def _point_indices(atom: Iterable[int]) -> list[int]:
     raise ValidationError(f"point index {entry!r} is not an integer")
 
 
-def _label_runs(labels: np.ndarray, n_atoms: int) -> _Grouping:
-    """The grouping of canonical labels, which it makes read-only.
-
-    ``labels`` holds 0 .. n_atoms - 1 per point, atoms numbered by their
-    first point, or -1 for a point in no atom. One stable sort groups the
-    points by label; those of -1 lead it and are left out of ``order``.
-    """
-    labels.setflags(write=False)
-    keys = labels + 1
-    counts = np.bincount(keys, minlength=n_atoms + 1)
-    order = _stable_order(keys, n_atoms + 1)[counts[0] :]
-    starts = np.cumsum(counts)[:-1] - counts[0]
-    return _Grouping(labels.view(), n_atoms, order, starts, np.arange(n_atoms))
-
-
 @dataclass(frozen=True, eq=False)
 class Partition:
     """A partition of a finite probability space into disjoint atoms.
@@ -505,7 +490,7 @@ class Partition:
     @cached_property
     def atoms(self) -> tuple[frozenset[int], ...]:
         """Atoms as frozensets of point indices, in label order."""
-        runs = _label_runs(self.atom_index_array, self.n_atoms)
+        runs = _canonical_grouping(self.atom_index_array, self.space._positive)
         return tuple(frozenset(g.tolist()) for g in np.split(runs.order, runs.starts[1:]))
 
     def __eq__(self, other: object) -> bool:

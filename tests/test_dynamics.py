@@ -160,12 +160,37 @@ class TestSymbolicSystem:
              "transition entries must be a rectangular table of numbers"),
             (lambda: SymbolicSystem(("a", "b")),
              "marginal probabilities must be a flat sequence of numbers"),
+            # numpy reads these as numbers; the law refuses them
+            (lambda: SymbolicSystem(("0.5", "0.5")),
+             "marginal probabilities must be a flat sequence of numbers"),
+            (lambda: SymbolicSystem((True, False)),
+             "marginal probabilities must be a flat sequence of numbers"),
+            (lambda: SymbolicSystem(np.array([0.0, 1.0]) == 1.0),
+             "marginal probabilities must be a flat sequence of numbers"),
+            (lambda: SymbolicSystem((0.5, 0.5), (("0.5", 0.5), (0.5, 0.5))),
+             "transition entries must be a rectangular table of numbers"),
+            (lambda: SymbolicSystem((1.0, 0.0), ((True, 0.0), (0.0, 1.0))),
+             "transition entries must be a rectangular table of numbers"),
         ],
     )
     def test_rejection_messages(self, build, message):
         with pytest.raises(ValidationError) as excinfo:
             build()
         assert str(excinfo.value) == message
+
+    def test_direct_construction_stores_float_tuples(self):
+        law = SymbolicSystem(np.array([0.25, 0.75]), [np.array([0.25, 0.75]), [0.25, 0.75]])
+        assert law == SymbolicSystem((0.25, 0.75), ((0.25, 0.75), (0.25, 0.75)))
+        assert law == SymbolicSystem.markov([[0.25, 0.75], [0.25, 0.75]], [0.25, 0.75])
+        assert law.marginal == (0.25, 0.75) and law.transition == ((0.25, 0.75),) * 2
+        assert all(type(x) is float for x in (*law.marginal, *law.transition[0]))
+        assert hash(law) == hash(SymbolicSystem((0.25, 0.75), ((0.25, 0.75),) * 2))
+        assert markov_entropy_rate(law.marginal, law.transition) == pytest.approx(
+            -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75)), abs=1e-15
+        )
+        bernoulli = SymbolicSystem([1, np.float32(0.0)])
+        assert bernoulli.marginal == (1.0, 0.0) and bernoulli.transition is None
+        assert bernoulli == SymbolicSystem.bernoulli([1.0, 0.0])
 
     def test_markov_derives_stationary_distribution(self):
         m = SymbolicSystem.markov(Q_REFERENCE)

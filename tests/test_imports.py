@@ -1,5 +1,6 @@
-"""Every name a package module imports is read there or exported by it, and
-every name the benchmark's tracer wraps exists."""
+"""Every name a package module imports is read there or exported by it,
+every private top-level name is read in the package, and every name the
+benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -48,6 +49,51 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["Sequence"]
     assert unused_imports("from .a import g\n__all__ = ['g']\n") == []
     assert unused_imports("import numpy as np\nimport os.path\nos.sep\n") == ["np"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each private top-level name no other top-level statement reads.
+
+    ``sources`` maps module names to their source. A private name starts
+    with one underscore and is bound by a top-level ``def``, ``class`` or
+    assignment. Reads are loaded names and attribute names in any module,
+    outside the statement that binds the name, so a helper that only
+    calls itself is unread.
+    """
+    defined = []
+    reads = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            read = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, ast.Attribute)
+                or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+            }
+            reads.append(read)
+            defined += [(module, name, read) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    return [f"{module}.{name}" for module, name, own in defined
+            if not any(name in read for read in reads if read is not own)]
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unread_private_names(sources) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    a = ("def _used(): ...\ndef _dead(): ...\n"
+         "def _self(n):\n    return _self(n - 1)\n_LIMIT: int = 3\n__all__ = []\n")
+    b = "from .a import _used, _dead\nimport a\n_used()\nprint(a._LIMIT)\n"
+    assert unread_private_names({"a": a, "b": b}) == ["a._dead", "a._self"]
 
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"

@@ -13,7 +13,6 @@ from entroflow import (
     ValidationError,
     VVector,
     eigenvalues,
-    eigenvalues_oracle,
     inverse_rg_step_zero_field,
     gibbs_space,
     log_partition_function,
@@ -33,6 +32,12 @@ LN2 = math.log(2.0)
 # symmetric eigensolver agreed to 4 ulp
 EIG_PLUS = 2.543698542486134
 EIG_MINUS = 0.5005731390843154
+
+
+def eigenvalues_oracle(k):
+    """Eigenvalues of T(K) from a dense symmetric eigensolver, descending order."""
+    lo, hi = np.linalg.eigvalsh(transfer_matrix(k).matrix)
+    return (float(hi), float(lo))
 
 
 def random_couplings(rng, n, lo=-2.0, hi=2.0):
@@ -345,6 +350,22 @@ class TestRgStepOracle:
             assert abs(closed_v.v0 - oracle_v.v0) < 1e-9
             assert abs(closed_v.v1 - oracle_v.v1) < 1e-9
             assert abs(closed_c - oracle_c) < 1e-9 * max(1.0, abs(oracle_c))
+
+    @pytest.mark.parametrize("k", [(-300.0, 300.0), (300.0, 300.0), (0.0, 300.0)])
+    def test_past_the_double_range_is_refused(self, k):
+        # the squared matrix, or its diagonal's ratio or product, overflows
+        with pytest.raises(ValidationError) as excinfo:
+            rg_step_oracle(k)
+        assert str(excinfo.value) == (
+            f"decimation oracle left the double range at K = ({k[0]!r}, {k[1]!r})"
+        )
+
+    def test_a_step_just_inside_the_double_range(self):
+        # the product of the squared diagonal is e^709.6, below the largest double
+        k, c = rg_step_oracle((0.0, 177.4))
+        assert k.k0 == 0.0
+        assert k.k1 == pytest.approx(177.4 - LN2 / 2, rel=1e-15)
+        assert math.isfinite(c)
 
 
 def solve_block4(t4):

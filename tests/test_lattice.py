@@ -667,8 +667,7 @@ class TestQuotientLevels:
         self, monkeypatch, sites, block, levels
     ):
         clear_shape_caches()
-        sizes = {"_block_codes": [], "_canonical_grouping": [], "_label_runs": [],
-                 "is_coarsening": []}
+        sizes = {"_block_codes": [], "_canonical_grouping": [], "is_coarsening": []}
 
         def recording(name, real, size_of):
             def wrapper(*args, **kwargs):
@@ -683,17 +682,15 @@ class TestQuotientLevels:
                              lambda keys, positive: keys.size)
         monkeypatch.setattr(partitions, "_canonical_grouping", grouping)
         monkeypatch.setattr(lattice, "_canonical_grouping", grouping)
-        monkeypatch.setattr(lattice, "_label_runs", recording(
-            "_label_runs", partitions._label_runs, lambda labels, n_atoms: labels.size))
         monkeypatch.setattr(flows, "is_coarsening", recording(
             "is_coarsening", is_coarsening, lambda coarse, fine: fine.space.size))
         r = rg_entropy_flow((0.1, -0.9), sites, block, levels)
         full = 2**sites
         atoms = r.atom_counts[0]
         assert sizes["_block_codes"] == [full] + [atoms] * (levels - 1)
-        assert sizes["_canonical_grouping"] == [full] + [atoms] * levels
-        # the one configuration-sized grouping of each level above 0
-        assert sizes["_label_runs"] == [full] * (levels - 1)
+        # level 0, the quotient levels, then the one configuration-sized
+        # grouping of each level above 0
+        assert sizes["_canonical_grouping"] == [full] + [atoms] * levels + [full] * (levels - 1)
         assert sizes["is_coarsening"] == [atoms] * (levels - 1)
         # a warm call at another coupling re-sums the weights only
         for record in sizes.values():
@@ -701,7 +698,6 @@ class TestQuotientLevels:
         assert rg_entropy_flow((0.6, 0.3), sites, block, levels).atom_counts == r.atom_counts
         assert sizes["_block_codes"] == []
         assert sizes["_canonical_grouping"] == []
-        assert sizes["_label_runs"] == []
         assert sizes["is_coarsening"] == [atoms] * (levels - 1)
 
 
