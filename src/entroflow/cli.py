@@ -238,8 +238,8 @@ def _parser() -> _Parser:
     p.add_argument("--format", choices=_FORMATS, default="delimited")
 
     p = sub.add_parser("ising-rg", help="forward decimation trajectory")
-    p.add_argument("--v0", type=float, required=True)
-    p.add_argument("--v1", type=float, required=True)
+    p.add_argument("--v0", type=float, help="start, required for a trajectory")
+    p.add_argument("--v1", type=float, help="start, required for a trajectory")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--out", help="write rows (step, V0, V1, c) here")
@@ -443,6 +443,10 @@ def _cmd_ks(args) -> _Output:
 def _cmd_ising_rg(args) -> _Output:
     if args.sweep_random is not None:
         return _cmd_ising_rg_sweep(args)
+    missing = [f"--{name}" for name in ("v0", "v1") if getattr(args, name) is None]
+    if missing:
+        # argparse's words, now that only a trajectory needs the start
+        raise ValidationError(f"the following arguments are required: {', '.join(missing)}")
     start = ising.VVector(args.v0, args.v1)
     trajectory = ising.rg_trajectory(start, max_steps=args.steps, tol=args.tol)
     rows = [
@@ -528,6 +532,10 @@ def _cmd_ising_z(args) -> _Output:
     return _Output(record, inconsistency=inconsistency)
 
 
+#: Bound on the relative gap between the class-weight and transfer-matrix log Z.
+_LOG_Z_GAP_TOL = 1e-12
+
+
 def _cmd_entropy_flow(args) -> _Output:
     result = lattice.rg_entropy_flow(
         (args.k0, args.k1),
@@ -535,6 +543,9 @@ def _cmd_entropy_flow(args) -> _Output:
         block_size=args.block,
         levels=args.levels,
     )
+    log_z = result.log_normalization
+    closed = ising.log_partition_function(result.coupling, result.n_sites)
+    gap = abs(log_z - closed) / max(1.0, abs(log_z))
     rows = [
         (level, result.atom_counts[level], result.entropies[level])
         for level in range(result.levels)
@@ -547,8 +558,15 @@ def _cmd_entropy_flow(args) -> _Output:
         "entropies": list(result.entropies),
         "coarse_verdict": result.coarse_verdict.to_record(),
         "refinement_verdict": result.refinement_verdict.to_record(),
+        "log_z_gap": gap,
     }
-    return _Output(record, _Table(("level", "atoms", "H_bits"), rows))
+    inconsistency = None
+    if gap > _LOG_Z_GAP_TOL:
+        inconsistency = (
+            f"class-weight log Z disagrees with the transfer matrix beyond {_LOG_Z_GAP_TOL}"
+        )
+    table = _Table(("level", "atoms", "H_bits"), rows)
+    return _Output(record, table, inconsistency=inconsistency)
 
 
 def _cmd_theorem_check(args) -> _Output:

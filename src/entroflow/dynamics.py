@@ -144,12 +144,12 @@ class SymbolicSystem:
     transition: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        p = _law_array(self.marginal, "marginal probabilities")
+        p = _float_array(self.marginal, "marginal probabilities")
         if p.size < 2:
             raise ValidationError("alphabet needs at least two symbols")
         _check_probabilities(p, "marginal probability", "marginal probabilities")
         if self.transition is not None:
-            q = _law_array(self.transition, "transition entries", ndim=2)
+            q = _float_array(self.transition, "transition entries", ndim=2)
             if q.shape != (p.size, p.size):
                 raise ValidationError(
                     f"transition shape {q.shape} does not match alphabet size {p.size}"
@@ -211,16 +211,6 @@ class SymbolicSystem:
         """The alphabet as a probability space under the single-symbol law."""
         m = self.alphabet_size
         return make_space(tuple(str(s) for s in range(m)), self.marginal)
-
-
-def _law_array(values, what: str, ndim: int = 1) -> np.ndarray:
-    """``_float_array`` of a law, whose strings and booleans are refused too."""
-    a = _float_array(values, what, ndim)
-    entries = values if ndim == 1 else [x for row in values for x in row]
-    if any(isinstance(x, (str, bool, np.bool_)) for x in entries):
-        shape = "flat sequence" if ndim == 1 else "rectangular table"
-        raise ValidationError(f"{what} must be a {shape} of numbers")
-    return a
 
 
 def _number(value: object, what: str) -> float:

@@ -20,26 +20,31 @@ sign pattern, and range-checked there, even on patterns no configuration
 shows. Site blockings and chained levels look up each block of the packed
 integers in that table; the results are the partition keys.
 
-Only level 0 is computed from the configurations. Every higher level is
-a function of the level-0 code, so it is computed on the quotient space
-with one point per level-0 atom (at most 256 at the cap with blocks of
-2), weighted by the atom's mass, and the nesting of the levels is
-checked there on every call. A configuration then takes the label of its
-level-0 atom, which makes each level a partition of the Gibbs space, and
-each level's entropy is that partition's. The plateau verdicts are read
-from those entropies, each computed once; the flow of those partitions
-and its reverse (the refinement flow) are validated only when read.
+A configuration's Boltzmann weight depends only on its class, the pair
+(field sum, bond sum): 66 classes at 16 sites. So the block-spin flow
+keeps, per level, a count table C_k[atom, class] of the configurations
+in each level-k atom and class, and a level's atom masses are C_k w / Z
+for the class weights w and Z = N . w, N counting each class. Only
+level 0 is computed from the configurations, with one ``np.bincount``
+over the level-0 atoms and the classes. Every higher level is a function
+of the level-0 code, so it is computed on the quotient space with one
+point per level-0 atom (at most 256 at the cap with blocks of 2),
+weighted by the atom's mass, and the nesting of the levels is checked
+there on every call; its count table sums level 0's over the quotient
+atoms. Each entropy forms the largest atom's term from the sum of the
+other masses, so a level whose dominant mass rounds to 1 keeps that
+atom's share. The plateau verdicts are read from those entropies.
 
-None of that grouping depends on the couplings once the zero-weight
-configurations are fixed. So it is built once per shape, the tuple
-(sites, block size, levels, the rule's values on the sign patterns of one
-block, zero-weight configurations): one grouping of the configurations
-per level and one of the quotient points per level, each made by the
-function that numbers every partition. Only the last shape is kept, as
-are the int8 field and bond sums of the last chain length. A call tables
-the block rule (2^b patterns), exponentiates and normalizes the weights,
-sums them over each level's atoms (one gather and one ``np.add.reduceat``
-per level), and builds and validates the quotient flow.
+None of that depends on the couplings once the zero-weight classes are
+fixed. So it is built once per shape, the tuple (sites, block size,
+levels, the rule's values on the sign patterns of one block, zero-weight
+classes), and only the last shape is kept, as are the classes of the
+last chain length. A call tables the block rule (2^b patterns),
+exponentiates the class weights, takes one product with the stacked
+count tables, and builds and validates the quotient flow. The Gibbs
+space, each level as a partition of it (a configuration takes the label
+of its level-0 atom), their flow and its reverse (the refinement flow)
+are built, and the flows validated, only when read.
 
 Configuration enumeration is exact and capped at 2^16 configurations; the
 environment variable ENTROFLOW_MAX_CONFIGS may lower (never raise) that
@@ -48,15 +53,16 @@ cap.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError
+from .errors import InconsistencyError, ResourceCapError, ValidationError
 from .flows import LimitPointVerdict, PartitionFlow, detect_entropy_plateau, reverse
 from .ising import (
     CouplingVector,
@@ -71,7 +77,6 @@ from .partitions import (
     _canonical_grouping,
     _Grouping,
     make_space,
-    shannon_bits,
 )
 
 __all__ = [
@@ -261,13 +266,7 @@ def gibbs_space(
     n = int(n_sites)
     if n < 2:
         raise ValidationError(f"need at least 2 sites, got {n_sites}")
-    cap = effective_config_cap()
-    if n >= cap.bit_length():  # 2^n > cap, without building 2^n
-        count = 2**n if n <= 64 else f"2^{n}"
-        raise ResourceCapError(
-            f"{count} configurations exceed the cap of {cap} "
-            f"({ENV_CONFIG_CAP} lowers it, never raises it)"
-        )
+    _check_config_cap(n)
     field, bonds = _field_and_bond_sums(n)
     # one buffer from the exponent to the weights: a new array per step
     # made the heap grow and shrink by about 1 MB on every cap-sized call
@@ -281,6 +280,17 @@ def gibbs_space(
     weights /= float(weights.sum())
     space = FiniteProbabilitySpace._from_distinct_ids(_ConfigIds(n), weights)
     return IsingGibbsSpace(coupling=kk, n_sites=n, space=space, log_normalization=log_z)
+
+
+def _check_config_cap(n: int) -> None:
+    """Refuse 2^n configurations past the cap, without building them."""
+    cap = effective_config_cap()
+    if n >= cap.bit_length():  # 2^n > cap
+        count = 2**n if n <= 64 else f"2^{n}"
+        raise ResourceCapError(
+            f"{count} configurations exceed the cap of {cap} "
+            f"({ENV_CONFIG_CAP} lowers it, never raises it)"
+        )
 
 
 def _rule_table(block_map: BlockMap, length: int) -> np.ndarray:
@@ -345,71 +355,197 @@ def induced_config_partition(
     return Partition._from_labels(gibbs.space, keys)
 
 
+class _Classes(NamedTuple):
+    """The configurations of one chain length grouped by (field sum, bond sum).
+
+    ``of`` is the read-only class of each configuration index. ``field``,
+    ``bonds`` and ``counts`` hold each class's sums and its number of
+    configurations, as floats. Classes are ordered by field sum, then by
+    bond sum.
+    """
+
+    of: np.ndarray
+    field: np.ndarray
+    bonds: np.ndarray
+    counts: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _classes(n_sites: int) -> _Classes:
+    """The classes of the periodic n-site chain; only the last length is kept."""
+    n = int(n_sites)
+    field, bonds = _field_and_bond_sums(n)
+    width = 2 * n + 1  # both sums lie in [-n, n]
+    key = (field.astype(np.int64) + n) * width + (bonds.astype(np.int64) + n)
+    counts = np.bincount(key, minlength=width * width)
+    present = np.flatnonzero(counts)
+    index = np.zeros(counts.size, dtype=np.int64)
+    index[present] = np.arange(present.size)
+    of = index[key]
+    of.setflags(write=False)
+    return _Classes(
+        of,
+        (present // width - n).astype(float),
+        (present % width - n).astype(float),
+        counts[present].astype(float),
+    )
+
+
+def _class_weights(kk: CouplingVector, classes: _Classes) -> tuple[np.ndarray, float, float]:
+    """exp(K.c - top) for every class c, their total over the configurations, and log Z.
+
+    top is the largest exponent, and each weight's exponent is taken from
+    the class that reaches it, K0 (f - f_top) + K1 (b - b_top): a
+    difference of exact integer sums, so the weights of the classes that
+    carry the entropy keep their digits at |K| = 300, where K.c itself is
+    off by up to about 1e-12.
+    """
+    exponent = kk.k0 * classes.field + kk.k1 * classes.bonds
+    top = int(exponent.argmax())
+    weights = np.exp(
+        kk.k0 * (classes.field - classes.field[top])
+        + kk.k1 * (classes.bonds - classes.bonds[top])
+    )
+    total = float(classes.counts @ weights)
+    return weights, total, float(exponent[top]) + math.log(total)
+
+
+def _runs(n_sites: int, block_size: int, level: int) -> list[tuple[int, int]]:
+    """The (first bit, length) runs of a level's blocks in its packed codes."""
+    return [(t * block_size, block_size) for t in range(n_sites // block_size ** (level + 1))]
+
+
+def _level_zero(
+    n_sites: int, block_size: int, table: np.ndarray, positive: np.ndarray | None
+) -> tuple[np.ndarray, _Grouping]:
+    """The level-0 code of every configuration, and the grouping of the ``positive`` ones."""
+    codes = _block_codes(
+        np.arange(1 << n_sites, dtype=np.int64),
+        _runs(n_sites, block_size, 0),
+        lambda length: table,
+    )
+    return codes, _canonical_grouping(codes, positive)
+
+
 @dataclass(frozen=True, eq=False)
 class _Skeleton:
     """What a block-spin flow keeps of one shape: no coupling changes it.
 
-    ``levels`` groups the configurations into each level's atoms and
-    ``quotient`` groups the quotient points (the level-0 atoms) the same
-    way, one grouping per level, level 0 first.
+    ``counts`` stacks the count tables of the levels, level 0 first, as
+    float64 rows of exact integers: the row of a level-k atom counts its
+    configurations in each class. ``atom_counts`` gives each level's rows,
+    and ``quotient`` groups the quotient points (the level-0 atoms) into
+    each level's atoms. ``table`` is the rule table of one block, and
+    ``positive`` masks the configurations outside the zero-weight classes
+    (None when there are none). The configurations grouped into each
+    level's atoms, ``levels``, are built on first read.
     """
 
-    levels: tuple[_Grouping, ...]
+    n_sites: int
+    block_size: int
+    table: np.ndarray
+    positive: np.ndarray | None
+    counts: np.ndarray
+    atom_counts: tuple[int, ...]
     quotient: tuple[_Grouping, ...]
+
+    @cached_property
+    def levels(self) -> tuple[_Grouping, ...]:
+        """The configurations grouped into each level's atoms, level 0 first.
+
+        A coarser level groups by the quotient label of each
+        configuration's level-0 atom; the zero-weight ones are masked out.
+        """
+        positive = self.positive
+        _, level0 = _level_zero(self.n_sites, self.block_size, self.table, positive)
+        coarser = (
+            _canonical_grouping(q.labels[level0.labels], positive) for q in self.quotient[1:]
+        )
+        return (level0, *coarser)
 
 
 @lru_cache(maxsize=1)
 def _skeleton(
     n_sites: int, block_size: int, levels: int, rule: bytes, zeros: bytes
 ) -> _Skeleton:
-    """The skeleton of a shape whose zero-weight configurations are ``zeros``.
+    """The skeleton of a shape whose zero-weight classes are ``zeros``.
 
     ``rule`` holds the rule table of one block (``_rule_table``) and
-    ``zeros`` the indices of the zero-weight configurations, both as int64
-    bytes; ``zeros`` fixes the positive mask of each configuration
-    grouping. ``_canonical_grouping`` groups level 0 by code, the quotient
-    levels by the codes of the level-0 atoms, and a coarser level by the
-    quotient label of each configuration's level-0 atom. Only the last
-    shape is kept.
+    ``zeros`` the indices of the zero-weight classes, both as int64
+    bytes. ``_canonical_grouping`` groups the positive-weight
+    configurations by level-0 code, and one ``np.bincount`` over their
+    (atom, class) pairs makes level 0's count table. The quotient levels
+    group the level-0 atoms by their codes, and each sums level 0's table
+    over its atoms. Only the last shape is kept.
     """
-    b = block_size
     table = np.frombuffer(rule, dtype=np.int64)
-
-    def table_of(length: int) -> np.ndarray:
-        return table
-
-    def runs(level: int) -> list[tuple[int, int]]:
-        return [(t * b, b) for t in range(n_sites // b ** (level + 1))]
-
-    size = 1 << n_sites
+    classes = _classes(n_sites)
     positive = None
     if zeros:
-        positive = np.ones(size, dtype=bool)
-        positive[np.frombuffer(zeros, dtype=np.int64)] = False
-    codes = _block_codes(np.arange(size, dtype=np.int64), runs(0), table_of)
-    level0 = _canonical_grouping(codes, positive)
+        zero = np.zeros(classes.counts.size, dtype=bool)
+        zero[np.frombuffer(zeros, dtype=np.int64)] = True
+        positive = ~zero[classes.of]
+    codes, level0 = _level_zero(n_sites, block_size, table, positive)
+    width = classes.counts.size
+    kept = level0.order  # the positive-weight configurations
+    count0 = np.bincount(
+        level0.labels[kept] * width + classes.of[kept], minlength=level0.n_atoms * width
+    ).reshape(level0.n_atoms, width)
     # the level-0 code of each atom, read at the atom's first point
     atom_codes = codes[level0.order[level0.starts[level0.by_first]]]
     # the atom masses are positive, so every quotient point is kept
     quotient = [_canonical_grouping(np.arange(level0.n_atoms), None)]
+    tables = [count0]
     for level in range(1, levels):
-        atom_codes = _block_codes(atom_codes, runs(level), table_of)
-        quotient.append(_canonical_grouping(atom_codes, None))
-    # each configuration reads its level-0 atom's label; the -1 ones are masked out
-    coarser = (_canonical_grouping(q.labels[level0.labels], positive) for q in quotient[1:])
-    return _Skeleton(levels=(level0, *coarser), quotient=tuple(quotient))
+        atom_codes = _block_codes(
+            atom_codes, _runs(n_sites, block_size, level), lambda length: table
+        )
+        q = _canonical_grouping(atom_codes, None)
+        quotient.append(q)
+        tables.append(np.add.reduceat(count0[q.order], q.starts)[q.by_first])
+    counts = np.concatenate(tables).astype(float)
+    counts.setflags(write=False)
+    return _Skeleton(
+        n_sites=n_sites,
+        block_size=block_size,
+        table=table,
+        positive=positive,
+        counts=counts,
+        atom_counts=tuple(t.shape[0] for t in tables),
+        quotient=tuple(quotient),
+    )
+
+
+_LN2 = math.log(2.0)
+
+
+def _entropy_bits(masses: np.ndarray) -> float:
+    """Shannon entropy in bits of positive masses that sum to 1 up to rounding.
+
+    The largest mass p enters as -(1 - e) log1p(-e) / ln 2, e being the
+    sum of the others, not as -p log2 p: where p rounds to 1, the latter
+    drops about e / ln 2, the whole entropy of a level that is nearly one
+    atom.
+    """
+    top = int(masses.argmax())
+    rest = np.concatenate((masses[:top], masses[top + 1 :]))
+    rest_sum = float(rest.sum())
+    others = float((rest * np.log2(rest)).sum())
+    # the + 0.0 turns the signed zero of a one-atom level into plain 0.0
+    return -others - (1.0 - rest_sum) * math.log1p(-rest_sum) / _LN2 + 0.0
 
 
 @dataclass(frozen=True)
 class RgEntropyFlowResult:
     """Entropy profile of a chained block-spin coarse graining.
 
-    ``partitions`` holds every level as a partition of the Gibbs space,
-    level 0 first, and ``quotient_flow`` the validated coarse-graining flow
-    of the same levels on the quotient space, whose point j is level-0
-    atom j weighted by its mass. ``coarse_flow``, the flow of
-    ``partitions``, and its reverse ``refinement_flow`` are validated on
-    first read.
+    ``entropies`` and ``atom_counts`` hold each level's, level 0 first,
+    and ``log_normalization`` is log Z from the class weights.
+    ``quotient_flow`` is the validated coarse-graining flow of the levels
+    on the quotient space, whose point j is level-0 atom j weighted by its
+    mass. The Gibbs space (``gibbs_space``), every level as a partition of
+    it (``partitions``), their flow ``coarse_flow`` and its reverse
+    ``refinement_flow`` are built on first read, the flows validated.
     """
 
     coupling: CouplingVector
@@ -418,10 +554,36 @@ class RgEntropyFlowResult:
     levels: int
     entropies: tuple[float, ...]
     atom_counts: tuple[int, ...]
-    partitions: tuple[Partition, ...]
+    log_normalization: float
     quotient_flow: PartitionFlow
     coarse_verdict: LimitPointVerdict
     refinement_verdict: LimitPointVerdict
+    _skeleton: _Skeleton = field(repr=False, compare=False)
+
+    @cached_property
+    def gibbs_space(self) -> IsingGibbsSpace:
+        """The Gibbs space of the couplings, enumerated on first read."""
+        return gibbs_space(self.coupling, self.n_sites)
+
+    @cached_property
+    def partitions(self) -> tuple[Partition, ...]:
+        """Every level as a partition of the Gibbs space, level 0 first.
+
+        A configuration takes the label of its level-0 atom. The Gibbs
+        space must give weight 0 to the configurations of the zero-weight
+        classes and to no others, or an :class:`InconsistencyError` is
+        raised.
+        """
+        space = self.gibbs_space.space
+        expected, found = self._skeleton.positive, space._positive
+        if (expected is None) != (found is None) or (
+            found is not None and not np.array_equal(found, expected)
+        ):
+            raise InconsistencyError(
+                "the Gibbs space and the class weights disagree on which "
+                "configurations have weight 0"
+            )
+        return tuple(Partition._from_grouping(space, g) for g in self._skeleton.levels)
 
     @property
     def level0(self) -> Partition:
@@ -454,40 +616,45 @@ def rg_entropy_flow(
     they are computed once per level-0 atom: on the quotient space with
     one point per level-0 atom, weighted by its mass. The levels there
     nest by construction and are validated as a coarse-graining flow on
-    every call. Every level is also a partition of the Gibbs space, and
-    each entropy is that partition's. Both directions' plateau verdicts
-    are read from those entropies (trivially witnessed for a single
-    level); the flows of those partitions are validated on first read.
+    every call. Both directions' plateau verdicts are read from the
+    entropies (trivially witnessed for a single level).
 
     Per shape (sites, block size, levels, the block rule's values on the
-    sign patterns of one block, and the zero-weight configurations) the
-    codes and one grouping of the configurations and one of the quotient
-    points per level are built once, by the grouping that numbers every
-    partition, and the last shape is kept. Per call the rule is called
-    once, the Gibbs weights are computed and summed over each level's
-    atoms, and the quotient flow is built and validated. The labels of
-    every partition are shared between calls of one shape and cannot be
-    written.
+    sign patterns of one block, and the zero-weight classes) the count
+    tables of the levels and one grouping of the quotient points per
+    level are built once, and the last shape is kept. Per call the rule
+    is called once and the weights of the (field sum, bond sum) classes
+    are exponentiated, 66 at 16 sites; one product with the count tables
+    gives every level's atom masses, and the quotient flow is built and
+    validated. The largest atom's entropy term is formed from the other
+    masses (``_entropy_bits``). The Gibbs space and the levels as its
+    partitions are built only when read; their labels are shared between
+    results of one shape and cannot be written.
     """
     if levels < 1:
         raise ValidationError(f"levels must be at least 1, got {levels}")
     spec = LatticeSpec(site_count=int(n_sites), block_size=int(block_size))
     for level in range(levels):
         spec.block_length(level)  # validates divisibility up front
-    gibbs = gibbs_space(k, n_sites)
-    space = gibbs.space
+    kk = _as_coupling(k)
+    n = spec.site_count
+    _check_config_cap(n)
     # the rule is called on every call, so the shape holds its values
     rule = _rule_table(block_map, spec.block_size).tobytes()
-    zeros = b"" if space._positive is None else np.flatnonzero(~space._positive).tobytes()
-    skeleton = _skeleton(gibbs.n_sites, spec.block_size, levels, rule, zeros)
-    partitions = tuple(Partition._from_grouping(space, g) for g in skeleton.levels)
-    level0 = partitions[0]
+    weights, total, log_z = _class_weights(kk, _classes(n))
+    # a class whose normalized weight underflows weighs 0, as in the Gibbs space
+    zero = weights / total == 0.0
+    weights[zero] = 0.0
+    skeleton = _skeleton(n, spec.block_size, levels, rule, np.flatnonzero(zero).tobytes())
+    masses = skeleton.counts @ weights
+    masses /= total
+    by_level = np.split(masses, np.cumsum(skeleton.atom_counts[:-1]))
+    entropies = tuple(map(_entropy_bits, by_level))
     quotient = FiniteProbabilitySpace._from_distinct_ids(
-        range(level0.n_atoms), level0._masses
+        range(skeleton.atom_counts[0]), by_level[0].copy()
     )
     on_quotient = tuple(Partition._from_grouping(quotient, q) for q in skeleton.quotient)
     flow = PartitionFlow(quotient, on_quotient, "coarse-graining")
-    entropies = tuple(shannon_bits(p._masses) for p in partitions)
     if levels == 1:
         trivial = LimitPointVerdict("witnessed", 0, 0.0)
         coarse_verdict = refinement_verdict = trivial
@@ -495,14 +662,15 @@ def rg_entropy_flow(
         coarse_verdict = detect_entropy_plateau(entropies)
         refinement_verdict = detect_entropy_plateau(entropies[::-1])
     return RgEntropyFlowResult(
-        coupling=gibbs.coupling,
-        n_sites=gibbs.n_sites,
+        coupling=kk,
+        n_sites=n,
         block_size=spec.block_size,
         levels=levels,
         entropies=entropies,
-        atom_counts=tuple(p.n_atoms for p in partitions),
-        partitions=partitions,
+        atom_counts=skeleton.atom_counts,
+        log_normalization=log_z,
         quotient_flow=flow,
         coarse_verdict=coarse_verdict,
         refinement_verdict=refinement_verdict,
+        _skeleton=skeleton,
     )

@@ -110,16 +110,35 @@ def _float_array(values, what: str, ndim: int = 1) -> np.ndarray:
     """``values`` as a new float64 array with ``ndim`` axes, or a :class:`ValidationError`.
 
     Entries that are not numbers and ragged rows are refused by name
-    instead of surfacing as numpy's own ``ValueError``.
+    instead of surfacing as numpy's own ``ValueError``, and so are strings
+    and booleans, which numpy reads as numbers.
     """
     try:
         a = np.array(values, dtype=float)
     except (TypeError, ValueError):
         a = None
-    if a is None or a.ndim != ndim:
+    if a is None or a.ndim != ndim or _holds_text_or_bool(values, ndim):
         shape = "flat sequence" if ndim == 1 else "rectangular table"
         raise ValidationError(f"{what} must be a {shape} of numbers")
     return a
+
+
+def _holds_text_or_bool(values, ndim: int) -> bool:
+    """True when an entry of ``values``, ``ndim`` levels deep, is a string or a boolean.
+
+    An array answers by its dtype, without a look at its entries, unless
+    it holds objects.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype != object:
+            return values.dtype.kind in "bSU"
+        values = values.tolist()
+    if ndim > 1:
+        return any(_holds_text_or_bool(row, ndim - 1) for row in values)
+    return any(issubclass(t, _TEXT_OR_BOOL) for t in set(map(type, values)))
+
+
+_TEXT_OR_BOOL = (str, bytes, bool, np.bool_)
 
 
 def _count_distinct(point_ids: Sequence[Hashable]) -> int:

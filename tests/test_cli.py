@@ -1060,6 +1060,76 @@ class TestFlagsAndConfigAgree:
         assert results[0][1] != b""
 
 
+class TestIsingRgStart:
+    """--v0 and --v1 start a trajectory; a sweep draws its own starts."""
+
+    SWEEP = ["ising-rg", "--sweep-random", "3", "--seed", "1"]
+
+    def test_a_sweep_needs_no_start(self, capsys):
+        assert run(self.SWEEP) == 0
+        alone = capsys.readouterr()
+        # a start given with a sweep is accepted and unused
+        assert run([*self.SWEEP, "--v0", "0.5", "--v1", "0.5"]) == 0
+        assert capsys.readouterr() == alone
+        assert json.loads(alone.out)["sweep"] == 3
+
+    def test_a_sweep_config_needs_no_start(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"subcommand": "ising-rg", "params": {"sweep_random": 3, "seed": 1}}))
+        assert run(["--config", str(path)]) == 0
+        from_config = capsys.readouterr()
+        assert run(self.SWEEP) == 0
+        assert capsys.readouterr() == from_config
+
+    @pytest.mark.parametrize(
+        "start, missing",
+        [([], "--v0, --v1"), (["--v0", "0.5"], "--v1"), (["--v1", "0.5"], "--v0")],
+    )
+    def test_a_trajectory_names_the_missing_start(self, capsys, start, missing):
+        assert run(["ising-rg", *start, "--steps", "3"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: the following arguments are required: {missing}\n"
+        )
+
+
+class TestEntropyFlowLogZ:
+    """entropy-flow checks its class-weight log Z against the transfer matrix."""
+
+    ARGV = ["entropy-flow", "--k0", "0.3", "--k1", "-0.8", "--sites", "16", "--levels", "4"]
+
+    def test_the_record_reports_the_gap(self, capsys):
+        assert run(self.ARGV) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert 0.0 <= record["log_z_gap"] <= cli._LOG_Z_GAP_TOL == 1e-12
+
+    def test_a_gap_past_the_bound_exits_4(self, capsys, monkeypatch):
+        real = cli.ising.log_partition_function
+        monkeypatch.setattr(cli.ising, "log_partition_function",
+                            lambda k, n: real(k, n) * (1.0 + 1e-11))
+        assert run(self.ARGV) == 4
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["log_z_gap"] > 1e-12
+        assert captured.err == (
+            "error: class-weight log Z disagrees with the transfer matrix beyond 1e-12\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["ising-rg", "--sweep-random", "3", "--seed", "1"], 0), (["ising-rg"], 2)],
+)
+def test_python_m_entroflow_is_the_cli(capsys, argv, code):
+    src = os.path.abspath(os.path.join(os.path.dirname(cli.__file__), os.pardir))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "entroflow", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == code
+    assert run(argv) == code
+    assert (done.stdout, done.stderr) == capsys.readouterr()
+    assert done.stdout if code == 0 else done.stderr
+
+
 @st.composite
 def accepted_invocations(draw):
     """Flag sets the parser accepts, with couplings anywhere in |K| <= 300.

@@ -1,6 +1,7 @@
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from entroflow import (
     ENV_CONFIG_CAP,
     FlowDirectionError,
     CouplingVector,
+    InconsistencyError,
     LatticeSpec,
     Partition,
     ResourceCapError,
@@ -28,7 +30,6 @@ from entroflow import (
     majority_first_site,
     make_space,
     rg_entropy_flow,
-    shannon_bits,
     spin_configurations,
 )
 
@@ -369,6 +370,80 @@ def reference_entropy(weights, keys):
     return float(-(masses * np.log2(masses)).sum())
 
 
+#: Relative bound on an entropy of ``rg_entropy_flow`` against the
+#: high-precision reference. A class weight exp(d) is off by about
+#: |d| 2^-53 relative, and the classes that carry any entropy have
+#: d > -746, so each entropy term is good to about 1e-13 (5.7e-14 was
+#: the worst of 1,500 random flows with |K| <= 300).
+ENTROPY_REL = 2e-13
+
+#: Absolute slack below which masses are subnormal doubles: an entropy
+#: carried by them alone is near 1e-305 or less, with few digits left.
+ENTROPY_FLOOR = 1e-300
+
+
+def pm1_count_tables(n, level_keys):
+    """Count tables from +-1 rows: configurations per (atom, (field, bond) class).
+
+    Returns one table per level (atoms numbered by ``np.unique`` of the
+    keys) and the field and bond sum of each class.
+    """
+    spins = pm1_spins(n).astype(np.int64)
+    sums = np.stack([spins.sum(1), (spins * np.roll(spins, -1, 1)).sum(1)], axis=1)
+    classes, of = np.unique(sums, axis=0, return_inverse=True)
+    tables = []
+    for keys in level_keys:
+        _, atom = np.unique(keys, return_inverse=True)
+        table = np.zeros((atom.max() + 1, len(classes)), dtype=np.int64)
+        np.add.at(table, (atom.ravel(), of.ravel()), 1)
+        tables.append(table)
+    return tables, classes[:, 0], classes[:, 1]
+
+
+def mp_entropies(k, tables, field, bonds):
+    """Each table's entropy in bits, in mpmath, as -sum m log2 m over its atoms.
+
+    Row a of a table counts the configurations of atom a in each class,
+    whose sums are ``field`` and ``bonds``. The masses are taken at 30
+    digits first; the largest is 1 - e, so each level is then redone with
+    30 digits more than -log10 e (at most 400: past that the level's
+    entropy is far below ``ENTROPY_FLOOR``).
+    """
+    k0, k1 = (mpmath.mpf(float(x)) for x in k)  # the doubles' exact values
+    counts = np.sum(tables[0], axis=0)
+
+    def masses(table):
+        # at the working precision: K0 f is exact from 30 digits on
+        exponents = [k0 * int(f) + k1 * int(b) for f, b in zip(field, bonds)]
+        top = max(exponents)
+        w = [mpmath.exp(x - top) for x in exponents]
+        z = mpmath.fsum(int(n) * wc for n, wc in zip(counts, w))
+        return [mpmath.fsum(int(c) * wc for c, wc in zip(row, w) if c) / z for row in table]
+
+    out = []
+    for table in tables:
+        with mpmath.workdps(30):
+            rest = mpmath.fsum(sorted(masses(table))[:-1])
+            digits = 30 if rest <= 0 else 30 + int(mpmath.ceil(-mpmath.log10(rest)))
+        with mpmath.workdps(min(400, max(30, digits))):
+            out.append(-mpmath.fsum(x * mpmath.log(x, 2) for x in masses(table) if x > 0))
+    return out
+
+
+def assert_near_reference(entropies, reference):
+    for level, (h, ref) in enumerate(zip(entropies, reference, strict=True)):
+        gap = abs(mpmath.mpf(h) - ref)
+        assert gap <= ENTROPY_REL * ref + ENTROPY_FLOOR, (level, h, ref)
+
+
+def skeleton_tables(r):
+    """The count tables of a flow's levels and the sums of their classes."""
+    skeleton = r._skeleton
+    tables = np.split(skeleton.counts.astype(np.int64), np.cumsum(skeleton.atom_counts[:-1]))
+    classes = lattice._classes(r.n_sites)
+    return tables, classes.field, classes.bonds
+
+
 @st.composite
 def block_flows(draw, max_sites=12):
     """(couplings, sites, block size, levels) over every legal level count."""
@@ -394,10 +469,11 @@ class TestPackedLevels:
             reference = Partition._from_labels(space, keys)
             assert r.coarse_flow[level] == reference
             assert r.atom_counts[level] == reference.n_atoms
-            assert r.entropies[level] == entropy(reference)
             assert r.entropies[level] == pytest.approx(
                 reference_entropy(weights, keys), rel=1e-9, abs=1e-9
             )
+        keys = chained_level_keys(sites, block, levels)
+        assert_near_reference(r.entropies, mp_entropies(k, *pm1_count_tables(sites, keys)))
 
     def test_custom_rule_row_by_row(self):
         def last_site(block):
@@ -508,11 +584,11 @@ class TestOnePathThroughTheFlow:
         # within 12 sites only blocks of 2 and 3 reach a second level
         k, sites, block, levels = flow
         r = rg_entropy_flow(k, sites, block, levels)
-        assert r.coarse_verdict == detect_limit_point(r.coarse_flow)
+        assert same_verdict(r.coarse_verdict, detect_limit_point(r.coarse_flow))
         assert "refinement_flow" not in vars(r)
         refinement = r.refinement_flow
         assert vars(r)["refinement_flow"] is refinement is r.refinement_flow
-        assert r.refinement_verdict == detect_limit_point(refinement)
+        assert same_verdict(r.refinement_verdict, detect_limit_point(refinement))
         assert refinement.direction == "refinement"
         assert refinement.sequence == r.coarse_flow.sequence[::-1]
         for finer, coarser in zip(refinement[1:], refinement):
@@ -522,7 +598,7 @@ class TestOnePathThroughTheFlow:
     def test_nesting_checked_once_and_entropies_computed_once(
         self, monkeypatch, sites, block, levels
     ):
-        calls = {"is_coarsening": 0, "entropy": 0, "shannon_bits": 0}
+        calls = {"is_coarsening": 0, "entropy": 0, "_entropy_bits": 0}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -534,10 +610,24 @@ class TestOnePathThroughTheFlow:
         monkeypatch.setattr(flows, "is_coarsening", counting("is_coarsening", is_coarsening))
         monkeypatch.setattr(flows, "entropy", counting("entropy", entropy))
         monkeypatch.setattr(
-            lattice, "shannon_bits", counting("shannon_bits", shannon_bits)
+            lattice, "_entropy_bits", counting("_entropy_bits", lattice._entropy_bits)
         )
         rg_entropy_flow((0.2, -0.5), sites, block, levels)
-        assert calls == {"is_coarsening": levels - 1, "entropy": 0, "shannon_bits": levels}
+        assert calls == {"is_coarsening": levels - 1, "entropy": 0, "_entropy_bits": levels}
+
+
+def same_verdict(count_route, gibbs_route):
+    """Verdicts that agree but for the last digits of the tail spread.
+
+    The flow's entropies come from the count tables, the Gibbs-side
+    flow's from its partitions' masses: at ordered couplings the latter
+    drop the largest atom's share, so their spreads agree to 1e-12 only.
+    """
+    return (count_route.status, count_route.witness_index) == (
+        gibbs_route.status, gibbs_route.witness_index
+    ) and count_route.tail_entropy_spread == pytest.approx(
+        gibbs_route.tail_entropy_spread, rel=1e-9, abs=1e-12
+    )
 
 
 @st.composite
@@ -615,10 +705,14 @@ class TestQuotientLevels:
             reference = Partition._from_labels(space, level_keys)
             assert np.array_equal(p.atom_index_array, reference.atom_index_array)
             assert p._masses.tobytes() == reference._masses.tobytes()
-            assert r.entropies[level].hex() == entropy(reference).hex()
+        assert_near_reference(r.entropies, mp_entropies(k, *pm1_count_tables(sites, keys)))
         quotient = r.quotient_flow.space
         assert quotient.size == r.level0.n_atoms
-        assert quotient.weight_array.tobytes() == r.level0._masses.tobytes()
+        # the class weights and the Gibbs weights round apart, most near
+        # |K| = 300; subnormal masses keep fewer digits
+        np.testing.assert_allclose(
+            quotient.weight_array, r.level0._masses, rtol=1e-11, atol=1e-300
+        )
         assert r.quotient_flow.direction == "coarse-graining"
         assert [p.n_atoms for p in r.quotient_flow] == list(r.atom_counts)
 
@@ -638,6 +732,7 @@ class TestQuotientLevels:
             checked.append(fine.space.size)
             return is_coarsening(coarse, fine)
 
+        partitions_of_the_flow = r.partitions  # built on first read
         monkeypatch.setattr(flows, "is_coarsening", recording)
         sorted_sizes = []
         stable_order = partitions._stable_order
@@ -651,7 +746,7 @@ class TestQuotientLevels:
         flow = r.coarse_flow
         assert checked == [2**16] * 3
         assert sorted_sizes == []  # the levels are r.partitions, not sorted again
-        assert flow.sequence == r.partitions
+        assert flow.sequence == r.partitions == partitions_of_the_flow
         assert vars(r)["coarse_flow"] is flow is r.coarse_flow
         assert checked == [2**16] * 3
         for level, keys in enumerate(chained_level_keys(16, 2, 4)):
@@ -667,7 +762,8 @@ class TestQuotientLevels:
         self, monkeypatch, sites, block, levels
     ):
         clear_shape_caches()
-        sizes = {"_block_codes": [], "_canonical_grouping": [], "is_coarsening": []}
+        sizes = {"_block_codes": [], "_canonical_grouping": [], "is_coarsening": [],
+                 "gibbs_space": []}
 
         def recording(name, real, size_of):
             def wrapper(*args, **kwargs):
@@ -684,25 +780,40 @@ class TestQuotientLevels:
         monkeypatch.setattr(lattice, "_canonical_grouping", grouping)
         monkeypatch.setattr(flows, "is_coarsening", recording(
             "is_coarsening", is_coarsening, lambda coarse, fine: fine.space.size))
+        monkeypatch.setattr(lattice, "gibbs_space", recording(
+            "gibbs_space", lattice.gibbs_space, lambda k, n: 2**n))
         r = rg_entropy_flow((0.1, -0.9), sites, block, levels)
         full = 2**sites
         atoms = r.atom_counts[0]
         assert sizes["_block_codes"] == [full] + [atoms] * (levels - 1)
-        # level 0, the quotient levels, then the one configuration-sized
-        # grouping of each level above 0
-        assert sizes["_canonical_grouping"] == [full] + [atoms] * levels + [full] * (levels - 1)
+        # level 0, then the quotient levels; no Gibbs space
+        assert sizes["_canonical_grouping"] == [full] + [atoms] * levels
         assert sizes["is_coarsening"] == [atoms] * (levels - 1)
-        # a warm call at another coupling re-sums the weights only
+        assert sizes["gibbs_space"] == []
+        # a warm call at another coupling works on the classes only
         for record in sizes.values():
             record.clear()
-        assert rg_entropy_flow((0.6, 0.3), sites, block, levels).atom_counts == r.atom_counts
-        assert sizes["_block_codes"] == []
-        assert sizes["_canonical_grouping"] == []
-        assert sizes["is_coarsening"] == [atoms] * (levels - 1)
+        warm = rg_entropy_flow((0.6, 0.3), sites, block, levels)
+        assert warm.atom_counts == r.atom_counts
+        assert sizes == {"_block_codes": [], "_canonical_grouping": [],
+                         "is_coarsening": [atoms] * (levels - 1), "gibbs_space": []}
+        assert not {"gibbs_space", "partitions"} & set(vars(warm))
+        # reading the partitions enumerates the Gibbs space and groups it once per level
+        sizes["is_coarsening"].clear()
+        assert [p.n_atoms for p in warm.partitions] == list(r.atom_counts)
+        assert sizes == {"_block_codes": [full], "_canonical_grouping": [full] * levels,
+                         "is_coarsening": [], "gibbs_space": [full]}
+        # and the groupings are kept with the shape
+        for record in sizes.values():
+            record.clear()
+        assert r.partitions[0].atom_index_array is warm.partitions[0].atom_index_array
+        assert sizes == {"_block_codes": [], "_canonical_grouping": [],
+                         "is_coarsening": [], "gibbs_space": [full]}
 
 
 def clear_shape_caches():
     lattice._skeleton.cache_clear()
+    lattice._classes.cache_clear()
     ising._field_and_bond_sums.cache_clear()
 
 
@@ -824,6 +935,100 @@ class TestShapeSkeleton:
         for p, q in zip(warm.partitions, r.partitions, strict=True):
             assert p.atom_index_array is q.atom_index_array  # shared
         assert flow_bytes(warm) == flow_bytes(cold_flow((0.3, -0.8), 8, 2, 3))
+
+
+class TestCountTables:
+    """Level masses from per-level counts of the (field sum, bond sum) classes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(block_flows(max_sites=16), st.sampled_from([majority_first_site, last_site]))
+    def test_entropies_match_a_high_precision_reference(self, flow, rule):
+        k, sites, block, levels = flow
+        r = rg_entropy_flow(k, sites, block, levels, block_map=rule)
+        tables, field, bonds = skeleton_tables(r)
+        assert [len(table) for table in tables] == list(r.atom_counts)
+        assert_near_reference(r.entropies, mp_entropies(k, tables, field, bonds))
+
+    @pytest.mark.parametrize(
+        "k, atom_counts",
+        [
+            # summing -p log2 p over the Gibbs space's atom masses is off here
+            # by -1.4e-2, -6.2e-3, -5.0e-3 and -2.2e-8 relative: the
+            # largest mass rounds to 1 and its term is lost
+            ((40.0, -3.0), (256, 16, 4, 2)),
+            ((5.0, 40.0), (256, 16, 4, 2)),
+            ((20.0, 40.0), (238, 16, 4, 2)),
+            ((0.7, 300.0), (2, 2, 2, 2)),
+        ],
+    )
+    def test_ordered_couplings_keep_the_largest_atoms_share(self, k, atom_counts):
+        r = rg_entropy_flow(k, 16, 2, 4)
+        assert r.atom_counts == atom_counts
+        assert all(h > 0.0 for h in r.entropies)
+        assert_near_reference(r.entropies, mp_entropies(k, *skeleton_tables(r)))
+        keys = chained_level_keys(16, 2, 4)
+        assert_near_reference(r.entropies, mp_entropies(k, *pm1_count_tables(16, keys)))
+
+    @pytest.mark.parametrize(
+        "k, sites, block, levels, block_map, atom_counts",
+        [
+            ((300.0, 300.0), 16, 2, 4, majority_first_site, (1, 1, 1, 1)),
+            ((0.0, -300.0), 16, 2, 4, majority_first_site, (2, 2, 2, 2)),
+            ((0.0, 45.0), 16, 2, 4, majority_first_site, (256, 16, 4, 2)),
+            ((40.0, -300.0), 16, 4, 2, majority_first_site, (2, 2)),
+            ((-300.0, 1.0), 9, 3, 2, last_site, (4, 2)),
+        ],
+    )
+    def test_underflow_corners_keep_their_atom_counts(
+        self, k, sites, block, levels, block_map, atom_counts
+    ):
+        r = rg_entropy_flow(k, sites, block, levels, block_map=block_map)
+        assert r.atom_counts == atom_counts
+        assert tuple(p.n_atoms for p in r.partitions) == atom_counts
+
+    def test_log_z_matches_the_transfer_matrix(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            k = CouplingVector(*rng.uniform(-300.0, 300.0, 2))
+            n = int(rng.integers(2, 17))
+            log_z = lattice._class_weights(k, lattice._classes(n))[2]
+            closed = log_partition_function(k, n)
+            assert abs(log_z - closed) <= 1e-12 * max(1.0, abs(log_z))
+        r = rg_entropy_flow((0.3, -0.8), 16, 2, 4)
+        assert r.log_normalization == pytest.approx(r.gibbs_space.log_normalization, rel=1e-14)
+
+    def test_the_gibbs_side_is_built_when_read(self):
+        r = rg_entropy_flow((0.2, 0.7), 8, 2, 3)
+        assert not {"gibbs_space", "partitions", "coarse_flow"} & set(vars(r))
+        assert r.gibbs_space is r.gibbs_space
+        assert r.gibbs_space.space == gibbs_space((0.2, 0.7), 8).space
+        assert r.partitions[0] is r.level0 and r.coarse_flow.sequence == r.partitions
+
+    def test_a_gibbs_space_with_other_zeros_is_loud(self, monkeypatch):
+        r = rg_entropy_flow((0.0, 300.0), 8, 2, 3)
+        real = lattice.gibbs_space
+        monkeypatch.setattr(lattice, "gibbs_space", lambda k, n: real((0.1, 0.5), n))
+        with pytest.raises(InconsistencyError, match="weight 0"):
+            r.partitions
+
+    def test_the_shape_holds_the_zero_weight_classes(self, monkeypatch):
+        keys = []
+        real = lattice._skeleton
+
+        def recording(*key):
+            keys.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(lattice, "_skeleton", recording)
+        skeleton = rg_entropy_flow((0.0, 300.0), 8, 2, 3)._skeleton
+        classes = lattice._classes(8)
+        zeros = np.frombuffer(keys[0][-1], dtype=np.int64)
+        kept = np.setdiff1d(np.arange(classes.counts.size), zeros)
+        # only the classes of the two ground states, all up and all down
+        assert classes.bonds[kept].tolist() == [8.0, 8.0]
+        assert np.flatnonzero(skeleton.positive).tolist() == [0, 255]
+        assert rg_entropy_flow((0.1, 0.5), 8, 2, 3)._skeleton.positive is None
+        assert keys[1][-1] == b""
 
 
 @st.composite

@@ -567,12 +567,34 @@ NOT_FLAT = "weights must be a flat sequence of numbers"
         (lambda: make_space("ab", [0.5, "x"]), NOT_FLAT),
         (lambda: make_space("ab", [[0.5], [0.5]]), NOT_FLAT),
         (lambda: FiniteProbabilitySpace("ab", 1.0), NOT_FLAT),
+        # numpy reads these as numbers; a space refuses them, as a law does
+        (lambda: make_space("ab", ["0.5", "0.5"]), NOT_FLAT),
+        (lambda: make_space("ab", np.array(["0.5", "0.5"])), NOT_FLAT),
+        (lambda: make_space("ab", [True, False]), NOT_FLAT),
+        (lambda: FiniteProbabilitySpace("ab", np.array([True, False])), NOT_FLAT),
+        (lambda: make_space("ab", [np.True_, np.False_]), NOT_FLAT),
+        (lambda: make_space("ab", np.array([np.True_, 0.5], dtype=object)), NOT_FLAT),
+        (lambda: make_space("ab", [True, True], normalize=True), NOT_FLAT),
     ],
 )
 def test_space_messages_print_plain_values(build, message):
     with pytest.raises(ValidationError) as excinfo:
         build()
     assert str(excinfo.value) == message
+
+
+def test_numeric_arrays_are_checked_by_dtype():
+    class Opaque(np.ndarray):
+        def __iter__(self):
+            raise AssertionError("entries read one by one")
+
+        def tolist(self):
+            raise AssertionError("entries read one by one")
+
+    for dtype in (np.float64, np.float32, np.int64):
+        weights = np.full(4, 1, dtype=dtype).view(Opaque)
+        assert make_space(range(4), weights, normalize=True).weights == (0.25,) * 4
+    assert FiniteProbabilitySpace(range(2), np.array([0.5, 0.5]).view(Opaque)).size == 2
 
 
 def test_unhashable_point_id_is_unknown():
