@@ -20,7 +20,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,34 +58,51 @@ def shannon_bits(probabilities: Iterable[float] | np.ndarray) -> float:
         if p.size == 0:
             return 0.0
     buffer = np.empty(min(p.size, _TERM_BLOCK))
-    # negating the sum gives the bytes of summing the negated terms; the
-    # + 0.0 turns a signed zero from rounding into plain 0.0
-    return float(-_sum_of_terms(p, buffer)) + 0.0
+    return _bits(_pairwise_sum(0, p.size, lambda a, b: _terms_sum(p[a:b], buffer)))
 
 
-#: Entries per block of ``shannon_bits`` terms, computed in one buffer.
+#: Entries per leaf of the pairwise sum of ``shannon_bits`` terms.
 _TERM_BLOCK = 2**15
 
 
-def _sum_of_terms(p: np.ndarray, buffer: np.ndarray) -> np.float64:
-    """The sum of p log2 p, one block of terms at a time in ``buffer``.
+def _pairwise_sum(
+    start: int, stop: int, leaf: Callable[[int, int], np.float64]
+) -> np.float64:
+    """A sum over the entries start..stop, added in numpy's pairwise order.
 
     numpy sums a contiguous float64 vector pairwise: it splits a vector
     longer than 128 entries after half its length, rounded down to a
     multiple of 8, and adds the sums of the two pieces. Splitting the same
-    way until a piece fits the buffer and letting numpy sum each piece
-    gives the bytes of one sum over all the terms, without a temporary as
-    long as ``p``.
+    way until a piece has at most ``_TERM_BLOCK`` entries and letting
+    ``leaf(a, b)`` sum the entries a..b of each piece with numpy gives the
+    bytes of one sum over all the entries, without a temporary as long as
+    all of them. The leaves are summed in order.
     """
-    n = p.size
-    if n <= buffer.size:
-        terms = buffer[:n]
-        np.log2(p, out=terms)
-        np.multiply(p, terms, out=terms)
-        return terms.sum()
+    n = stop - start
+    if n <= _TERM_BLOCK:
+        return leaf(start, stop)
     half = n // 2
     half -= half % 8
-    return _sum_of_terms(p[:half], buffer) + _sum_of_terms(p[half:], buffer)
+    return _pairwise_sum(start, start + half, leaf) + _pairwise_sum(
+        start + half, stop, leaf
+    )
+
+
+def _terms_sum(p: np.ndarray, buffer: np.ndarray) -> np.float64:
+    """The sum of p log2 p, its terms computed in the start of ``buffer``."""
+    terms = buffer[: p.size]
+    np.log2(p, out=terms)
+    np.multiply(p, terms, out=terms)
+    return terms.sum()
+
+
+def _bits(total: np.float64) -> float:
+    """The entropy whose p log2 p terms sum to ``total``.
+
+    Negating the sum gives the bytes of summing the negated terms; the
+    + 0.0 turns a signed zero from rounding into plain 0.0.
+    """
+    return float(-total) + 0.0
 
 
 def _check_probabilities(p: np.ndarray, one: str, many: str) -> None:

@@ -1130,6 +1130,22 @@ def test_python_m_entroflow_is_the_cli(capsys, argv, code):
     assert done.stdout if code == 0 else done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv", [["ising-rg", "--sweep-random", "3", "--seed", "1"], ["ising-rg"]]
+)
+def test_python_m_entroflow_cli_is_python_m_entroflow(argv):
+    src = os.path.abspath(os.path.join(os.path.dirname(cli.__file__), os.pardir))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    package, module = (
+        subprocess.run([sys.executable, "-m", name, *argv],
+                       capture_output=True, env=env, timeout=60)
+        for name in ("entroflow", "entroflow.cli")
+    )
+    assert package.stdout or package.stderr
+    assert (module.returncode, module.stdout, module.stderr) == (
+        package.returncode, package.stdout, package.stderr)
+
+
 @st.composite
 def accepted_invocations(draw):
     """Flag sets the parser accepts, with couplings anywhere in |K| <= 300.

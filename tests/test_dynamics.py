@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,9 +39,86 @@ def halves(system):
 
 
 def nth_join(system, partition, n, cap=DEFAULT_WORD_CAP):
-    """The n-fold join, the last one the word engine yields."""
+    """The n-fold join of a permutation system, the last one ``_joins`` yields."""
     *_, joined = _joins(system, partition, n, cap)
     return joined
+
+
+def _group_labels(system, partition):
+    """Symbol -> group: its atom, or group 0 for a symbol no atom holds."""
+    if partition is None:
+        return np.arange(system.alphabet_size)
+    return np.maximum(partition.atom_index_array, 0)
+
+
+def broadcast_levels(system, partition, n):
+    """The word masses of lengths 1..n and the arrays each length grows from.
+
+    Built here the direct way, each length whole: the words by the
+    broadcast product with the Bernoulli row or the Markov matrix (a
+    lumped Bernoulli shift is the Bernoulli shift of its group masses),
+    and a lumped Markov shift's (group word, current symbol) table by one
+    matrix product per group over the whole table, its group masses by
+    adding each group's columns in order.
+    """
+    labels = _group_labels(system, partition)
+    p = np.array(system.marginal)
+    if system.transition is None:
+        p = step = np.bincount(labels, weights=p)
+    else:
+        step = np.array(system.transition)
+    m = p.size
+    levels = []
+    if system.transition is None or np.array_equal(labels, np.arange(m)):
+        words = p
+        for _ in range(n):
+            levels.append((words, words))
+            words = (words.reshape(-1, m, 1) * step).reshape(-1)
+        return levels
+    order = np.argsort(labels, kind="stable")
+    groups = int(labels.max()) + 1
+    edges = np.searchsorted(labels[order], np.arange(groups + 1))
+    spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    step = step[np.ix_(order, order)]
+    table = p[order].reshape(1, m)
+    for k in range(n):
+        if k:
+            grown = np.empty((table.shape[0], groups, m))
+            for g, span in enumerate(spans):
+                np.matmul(table[:, span], step[span], out=grown[:, g])
+            table = grown.reshape(-1, m)
+        masses = np.empty((table.shape[0], groups))
+        for g, span in enumerate(spans):
+            masses[:, g] = table[:, span.start]
+            for column in range(span.start + 1, span.stop):
+                masses[:, g] += table[:, column]
+        levels.append((masses.reshape(-1), table))
+    return levels
+
+
+def word_levels(system, partition, n, cap=DEFAULT_WORD_CAP):
+    """The word masses of lengths 1..n, checked against ``_joins``.
+
+    ``_joins`` keeps every length but the last, and those arrays must have
+    the bytes of ``broadcast_levels``'s; every H_n must have the bytes of
+    ``shannon_bits`` of its masses from ``broadcast_levels``.
+    """
+    levels = list(_joins(system, partition, n, cap))
+    expected = broadcast_levels(system, partition, n)
+    assert len(levels) == n
+    for k, ((bits, kept), (masses, grown)) in enumerate(zip(levels, expected), 1):
+        assert bits.hex() == shannon_bits(masses).hex()
+        if k < n:
+            assert kept.shape == grown.shape
+            assert kept.tobytes() == grown.tobytes()
+        else:
+            assert kept is None
+    return [masses for masses, _ in expected]
+
+
+def nth_words(system, partition, n, cap=DEFAULT_WORD_CAP):
+    """The masses of the length-n words, checked by ``word_levels``."""
+    return word_levels(system, partition, n, cap)[-1]
 
 
 class TestPermutationSystem:
@@ -278,7 +356,7 @@ class TestIteratedJoin:
 
     def test_fair_coin_cylinders(self):
         b = SymbolicSystem.bernoulli([0.5, 0.5])
-        words = nth_join(b, None, 3)
+        words = nth_words(b, None, 3)
         assert len(words) == 8
         assert np.allclose(words, 0.125, atol=0, rtol=0)
         assert shannon_bits(words) == 3.0
@@ -287,16 +365,16 @@ class TestIteratedJoin:
         # merging a uniform 4-letter alphabet in halves must look like a coin
         b = SymbolicSystem.bernoulli([0.25] * 4)
         p = Partition(b.symbol_space, [[0, 1], [2, 3]])
-        words = nth_join(b, p, 5)
+        words = nth_words(b, p, 5)
         assert len(words) == 2**5
         assert shannon_bits(words) == pytest.approx(5.0, abs=1e-12)
 
     def test_word_cap(self):
         b = SymbolicSystem.bernoulli([0.5, 0.5])
         with pytest.raises(ResourceCapError, match="cap"):
-            nth_join(b, None, 12, cap=2**10)
+            nth_words(b, None, 12, cap=2**10)
         # an explicit higher cap admits the same request
-        assert len(nth_join(b, None, 12, cap=2**12)) == 4096
+        assert len(nth_words(b, None, 12, cap=2**12)) == 4096
 
 
 @st.composite
@@ -640,7 +718,7 @@ def _entropy_bits(probabilities):
 def test_word_joins_match_brute_force(case):
     system, atoms, n = case
     partition = None if atoms is None else Partition(system.symbol_space, atoms)
-    words = nth_join(system, partition, n)
+    words = nth_words(system, partition, n)
     expected = _brute_force_reduced_words(system, atoms, n)
     assert words.shape == expected.shape
     assert np.abs(words - expected).max() <= 1e-12
@@ -654,12 +732,14 @@ def test_word_joins_match_brute_force(case):
 def test_lumped_bernoulli_is_the_shift_of_its_group_masses():
     system = SymbolicSystem.bernoulli([0.1, 0.2, 0.3, 0.4])
     halves = Partition(system.symbol_space, [[0, 2], [1, 3]])
-    words = nth_join(system, halves, 10, cap=2**10)
+    words = nth_words(system, halves, 10, cap=2**10)
     masses = SymbolicSystem.bernoulli([0.1 + 0.3, 0.2 + 0.4])
-    assert np.array_equal(words, nth_join(masses, None, 10))
+    assert np.array_equal(words, nth_words(masses, None, 10))
+    h = [bits for bits, _ in _joins(system, halves, 10, 2**10)]
+    assert h == [bits for bits, _ in _joins(masses, None, 10, 2**10)]
     # groups^n words are held, not a groups^n x m table
     with pytest.raises(ResourceCapError, match="needs 2048 entries"):
-        nth_join(system, halves, 11, cap=2**10)
+        nth_words(system, halves, 11, cap=2**10)
 
 
 #: A four-symbol chain for the lumped-Markov word tests.
@@ -683,9 +763,15 @@ class TestWordEngine:
         n_max = int(np.log(2**15) / np.log(m))
         joins = list(_joins(system, None, n_max, 2**15))
         assert len(joins) == n_max
-        assert np.array_equal(joins[0], np.array(system.marginal))
-        for words, grown in zip(joins, joins[1:]):
-            assert np.array_equal(grown, (words.reshape(-1, m, 1) * step).reshape(-1))
+        assert np.array_equal(joins[0][1], np.array(system.marginal))
+        for (_, words), (bits, grown) in zip(joins, joins[1:]):
+            broadcast = (words.reshape(-1, m, 1) * step).reshape(-1)
+            if grown is None:
+                # the last length is summed as it grows, never stored
+                assert bits.hex() == shannon_bits(broadcast).hex()
+            else:
+                assert np.array_equal(grown, broadcast)
+                assert bits.hex() == shannon_bits(grown).hex()
 
     @pytest.mark.parametrize(
         "q,atoms,n",
@@ -707,8 +793,8 @@ class TestWordEngine:
     def test_lumped_markov_words_match_brute_force(self, q, atoms, n):
         system = SymbolicSystem.markov(q)
         partition = Partition(system.symbol_space, atoms)
-        joins = list(_joins(system, partition, n, 2**20))
-        for k, words in enumerate(joins, start=1):
+        levels = word_levels(system, partition, n, 2**20)
+        for k, words in enumerate(levels, start=1):
             expected = _brute_force_reduced_words(system, atoms, k)
             assert words.shape == expected.shape
             np.testing.assert_allclose(words, expected, rtol=1e-15, atol=0.0)
@@ -720,13 +806,144 @@ class TestWordEngine:
             [[0.5, 0.3, 0.2], [0.2, 0.2, 0.6], [0.1, 0.6, 0.3]])
         partition = Partition(system.symbol_space, [[0, 2], [1]])
         needed = 2**n * 3
-        words = nth_join(system, partition, n, cap=needed)
+        words = nth_words(system, partition, n, cap=needed)
         assert len(words) == 2**n
         message = (f"word enumeration needs {needed} entries, over the cap of "
                    f"{needed - 1}; raise the cap explicitly or lower n_max")
         with pytest.raises(ResourceCapError) as caught:
-            nth_join(system, partition, n, cap=needed - 1)
+            nth_words(system, partition, n, cap=needed - 1)
         assert str(caught.value) == message
+
+
+@st.composite
+def shifts_for_the_summed_lengths(draw):
+    """A shift with 2 to 7 symbols, a partition of its alphabet, and n.
+
+    Entries are drawn from [0.05, 1], 0 or 1e-200 before they are
+    normalized, so words may have zero mass or underflow to 0 from length
+    2 on. A Markov matrix keeps the cycle 0 -> 1 -> ... -> 0 positive, so
+    that it has one stationary vector, or has a transient last symbol of
+    stationary weight zero. The partition is the generating one, all
+    singletons in a drawn order, or two drawn groups of the symbols of
+    positive weight. n reaches lengths of up to 2^17 masses, many leaves
+    of 2^15, and odd alphabets give lengths that are not multiples of 8.
+    """
+    m = draw(st.integers(2, 7))
+    entry = st.one_of(st.floats(0.05, 1.0), st.sampled_from([0.0, 1e-200]))
+
+    def distribution(size, positive):
+        raw = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+        raw[positive] = max(raw[positive], 0.05)
+        return raw / raw.sum()
+
+    kind = draw(st.sampled_from(["bernoulli", "markov", "transient"]))
+    if kind == "bernoulli":
+        system = SymbolicSystem.bernoulli(
+            distribution(m, draw(st.integers(0, m - 1))).tolist())
+    elif kind == "markov":
+        system = SymbolicSystem.markov(
+            [distribution(m, (a + 1) % m).tolist() for a in range(m)])
+    else:
+        closed = [distribution(m - 1, (a + 1) % (m - 1)).tolist() for a in range(m - 1)]
+        pi = SymbolicSystem.markov(closed).marginal if m > 2 else (1.0,)
+        q = [row + [0.0] for row in closed] + [distribution(m, 0).tolist()]
+        system = SymbolicSystem((*pi, 0.0), tuple(map(tuple, q)))
+    symbols = [s for s in range(m) if system.marginal[s] > 0.0]
+    shape = draw(st.sampled_from(["generating", "singletons", "two groups"]))
+    if shape == "generating":
+        partition = None
+    elif shape == "two groups" and len(symbols) > 1:
+        first = draw(
+            st.sets(st.sampled_from(symbols), min_size=1, max_size=len(symbols) - 1)
+        )
+        atoms = [sorted(first), sorted(set(symbols) - first)]
+        partition = Partition(system.symbol_space, atoms)
+    else:
+        atoms = [[s] for s in draw(st.permutations(symbols))]
+        partition = Partition(system.symbol_space, atoms)
+    base = m if partition is None else partition.n_atoms
+    longest = max(1, int(math.log(2**17) / math.log(base))) if base > 1 else 17
+    # drawn down from the longest, which hypothesis favours
+    return system, partition, longest - draw(st.integers(0, longest - 1))
+
+
+class TestSummedLengths:
+    """Each H_n is summed as its length grows and has the bytes of the whole."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shifts_for_the_summed_lengths())
+    def test_entropies_have_the_bytes_of_the_whole_lengths(self, case):
+        system, partition, n = case
+        word_levels(system, partition, n, 2**20)
+
+    @pytest.mark.parametrize(
+        "spec,atoms,n",
+        [
+            # every word with the first symbol underflows from length 2 on
+            ("bernoulli:1e-200,1", None, 20),
+            ("bernoulli:1,1e-200", None, 20),
+            # 3^11 and 7^6 masses, not multiples of 8 or of 2^15
+            ("bernoulli:0.2,0.3,0.5", None, 11),
+            ("bernoulli:0.1,0.1,0.1,0.1,0.2,0.2,0.2", None, 6),
+            # a zero probability, lumped: the shift of 2 group masses
+            ("bernoulli:0.25,0.25,0,0.5", [[0, 3], [1]], 17),
+            ("markov:[[0.2,0.2,0.2,0.2,0.2],[0.1,0.3,0.2,0.2,0.2],"
+             "[0.5,0.1,0.1,0.1,0.2],[0.3,0.3,0.2,0.1,0.1],[0.2,0.4,0.2,0.1,0.1]]",
+             None, 7),
+            # zero transitions
+            ("markov:[[0.5,0.5,0,0,0,0],[0,0.5,0.5,0,0,0],[0,0,0.5,0.5,0,0],"
+             "[0,0,0,0.5,0.5,0],[0,0,0,0,0.5,0.5],[0.5,0,0,0,0,0.5]]", None, 6),
+            ("markov:[[1e-200,1],[0.5,0.5]]", None, 19),
+            # a transient symbol, lumped: 2^17 group words from 2^16 x 3 rows
+            ("markov:[[0.7,0.3,0.0],[0.4,0.6,0.0],[0.2,0.3,0.5]]",
+             [[0], [1]], 17),
+            ("markov:[[0.5,0.2,0.3],[0.1,0.6,0.3],[0.3,0.3,0.4]]",
+             [[0, 2], [1]], 17),
+            # three groups, 3^10 group words
+            ("markov:[[0.4,0.1,0.2,0.1,0.2],[0.2,0.3,0.1,0.3,0.1],"
+             "[0.1,0.2,0.4,0.2,0.1],[0.3,0.1,0.1,0.2,0.3],[0.2,0.2,0.2,0.2,0.2]]",
+             [[0, 3], [1], [2, 4]], 10),
+        ],
+    )
+    def test_odd_sizes_zeros_and_underflow(self, spec, atoms, n):
+        system = parse_system_spec(spec)
+        partition = None if atoms is None else Partition(system.symbol_space, atoms)
+        word_levels(system, partition, n, 2**20)
+
+    def test_a_cap_sized_report_holds_less_than_one_length(self):
+        # the last length, 2^20 masses (8 MiB), is summed as it grows; the
+        # lengths 2^19 and 2^18 are held while the first of them grows
+        system = SymbolicSystem.bernoulli([0.3, 0.7])
+        tracemalloc.start()
+        try:
+            info_rate_report(system, None, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "spec,atoms,n,needed",
+        [
+            ("bernoulli:0.3,0.7", None, 10, 2**10),
+            ("markov:[[0.9,0.1],[0.5,0.5]]", None, 10, 2**10),
+            ("bernoulli:0.2,0.3,0.5", [[0, 2], [1]], 10, 2**10),
+            ("markov:[[0.5,0.3,0.2],[0.2,0.2,0.6],[0.1,0.6,0.3]]",
+             [[0, 2], [1]], 9, 2**9 * 3),
+        ],
+    )
+    def test_the_unstored_last_length_counts_against_the_cap(
+        self, spec, atoms, n, needed
+    ):
+        system = parse_system_spec(spec)
+        partition = None if atoms is None else Partition(system.symbol_space, atoms)
+        assert info_rate_report(system, partition, n, cap=needed).n_max == n
+        with pytest.raises(ResourceCapError) as caught:
+            info_rate_report(system, partition, n, cap=needed - 1)
+        assert str(caught.value) == (
+            f"word enumeration needs {needed} entries, over the cap of "
+            f"{needed - 1}; raise the cap explicitly or lower n_max"
+        )
 
 
 class TestParseSystemSpec:
