@@ -345,10 +345,12 @@ def _joins(
     partition (the generating partition when ``partition`` is None), and
     the array the next length grows from, or None at n = n_max. It fails
     before any length would hold more than ``cap`` entries, whether or
-    not that length is stored. The words grow by one product with the
-    step, the row p of a Bernoulli shift or the matrix Q of a Markov shift
-    (see ``_grow_words``), and the array is the word vector; a lumped
-    Bernoulli shift is the Bernoulli shift of its group masses. A lumped
+    not that length is stored. Each word grows by one product with a row
+    (see ``_grow_words``): the row p of a Bernoulli shift, or the row of Q
+    of the word's last symbol under a Markov shift, read from a stack of
+    Q's rows about one leaf deep, so that a unit of growth is one word
+    under either. The array is the word vector; a lumped Bernoulli shift
+    is the Bernoulli shift of its group masses. A lumped
     Markov alphabet grows a table over (reduced word without its last
     group, current symbol), since the next symbol's law depends on the
     current symbol and not on its group, and the current symbol fixes the
@@ -396,24 +398,40 @@ def _joins(
     else:
         step = np.asarray(system.transition, dtype=float)
     m = p.size
-    fused = True
     if system.transition is None or np.array_equal(labels, np.arange(m)):
         _check_cap(m, cap)
-        # a unit of the next length grows from one word under a Bernoulli
-        # row and, under a Markov matrix, from the m words that share all
-        # but their last symbol
-        rows = m ** (step.ndim - 1)
+        # a unit of the next length grows from one word
+        if system.transition is None:
 
-        def grow(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-            _grow_words(words[lo * rows : hi * rows], step, out)
-            return out
+            def grow(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+                _grow_words(words[lo:hi], step, out)
+                return out
+
+        else:
+            # word w grows by row w % m of Q, its last symbol's row, read
+            # from Q's rows stacked deep enough for the words of one leaf
+            # from any offset; a longer call reads them a leaf at a time
+            reach = _TERM_BLOCK // m + 2
+            rows = np.tile(step, (-(-reach // m) + 1, 1))
+
+            def grow(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+                for start in range(lo, hi, reach):
+                    stop = min(start + reach, hi)
+                    at = start % m
+                    _grow_words(
+                        words[start:stop],
+                        rows[at : at + stop - start],
+                        out[(start - lo) * m : (stop - lo) * m],
+                    )
+                return out
 
         words = p
+        positive = np.count_nonzero(words)
         yield shannon_bits(words), (words if n_max > 1 else None)
         for n in range(2, n_max + 1):
             _check_cap(words.size * m, cap)
             level = np.empty(words.size * m) if n < n_max else None
-            bits, fused = _level_bits(words.size * m, rows * m, grow, level, fused)
+            bits, positive = _level_bits(words.size * m, m, grow, level, positive * m)
             words = level
             yield bits, words
         return
@@ -438,7 +456,9 @@ def _joins(
 
     _check_cap(groups * m, cap)
     table = p[order].reshape(1, m)
-    yield shannon_bits(_group_masses(table, spans)), (table if n_max > 1 else None)
+    masses = _group_masses(table, spans)
+    positive = np.count_nonzero(masses)
+    yield shannon_bits(masses), (table if n_max > 1 else None)
     for n in range(2, n_max + 1):
         # the next length counts groups^2 times this table's entries
         _check_cap(table.size * unit, cap)
@@ -449,7 +469,7 @@ def _joins(
             # the rows of one leaf: the last table is never stored
             kept = None
             spare = np.empty((min(size, _TERM_BLOCK + 2 * unit) // groups, m))
-        bits, fused = _level_bits(size, unit, grow, None, fused)
+        bits, positive = _level_bits(size, unit, grow, None, positive * groups)
         table = kept
         yield bits, table
 
@@ -459,14 +479,17 @@ def _level_bits(
     unit: int,
     grow: Callable[[int, int, np.ndarray], np.ndarray],
     level: np.ndarray | None,
-    fused: bool,
-) -> tuple[float, bool]:
+    bound: int,
+) -> tuple[float, int]:
     """``shannon_bits`` of a word level, summed as the level grows.
 
-    The level has ``size`` masses in units of ``unit``, and
-    ``grow(lo, hi, out)`` writes the masses of units lo..hi to ``out`` and
-    returns it: slices of ``level`` when that keeps the level for the next
-    step, else a buffer that holds one leaf. Each leaf of the pairwise sum
+    The level has ``size`` masses in units of ``unit``: one word of the
+    length before, whose m extensions are its masses, or one row of a
+    lumped Markov table. ``grow(lo, hi, out)`` writes the masses of units
+    lo..hi to ``out`` and returns it: slices of ``level`` when that keeps
+    the level for the next step, else a buffer that holds one leaf. A call
+    grows at most one leaf's units and two more, except on a stored level
+    with a zero mass, which is grown whole. Each leaf of the pairwise sum
     of ``shannon_bits`` grows the units that cover it, from the unit
     before its start to the unit after its end where the 8-aligned splits
     fall mid-unit, and sums its terms while they are in cache. The leaf
@@ -474,52 +497,56 @@ def _level_bits(
     ``shannon_bits`` of the whole level.
 
     ``shannon_bits`` drops zero masses before it splits, which moves the
-    leaves. A zero mass makes its term NaN (0 log2 0); the level is then
-    grown again and its positive masses, in order, handed to
-    ``shannon_bits``. So is the level after it, and every level after
-    that: the flag returned with the bits, passed back as ``fused``, is
-    False once a level had a zero, since a word's extensions have no more
-    mass than the word. An unstored level is grown a leaf's worth of
-    units at a time right after the positive masses kept so far, and cut
-    there to its own positive masses, so neither the whole level nor its
-    mask of zeros is held.
+    leaves. ``bound`` is at least the number of positive masses, which is
+    returned with the bits: a word of positive mass extends one of
+    positive mass, so the count of the level before times the growth in
+    size bounds it, and it is ``size`` unless the level before had a zero.
+    Only then is the level summed leaf by leaf, and a zero mass makes its
+    term NaN (0 log2 0). A level with a zero is grown again and its
+    positive masses, in order, handed to ``shannon_bits``. A stored level
+    is grown whole; an unstored one is grown a leaf's worth of units at a
+    time right after the positive masses kept so far, in a buffer of
+    ``bound`` masses and one leaf more, and cut there to its own positive
+    masses, so neither the whole level nor its mask of zeros is held.
     """
     units = size // unit
-    if not fused:
-        if level is not None:
-            return shannon_bits(grow(0, units, level)), False
-        positive = np.empty(size)
-        count = 0
-        chunk = max(1, _TERM_BLOCK // unit)
-        for lo in range(0, units, chunk):
-            hi = min(lo + chunk, units)
-            masses = grow(lo, hi, positive[count : count + (hi - lo) * unit])
-            masses = masses[masses > 0.0]
-            positive[count : count + masses.size] = masses
-            count += masses.size
-        return shannon_bits(positive[:count]), False
-    if level is None:
-        pieces = np.empty(min(size, _TERM_BLOCK + 2 * unit))
-    terms = np.empty(min(size, _TERM_BLOCK))
-
-    def leaf(a: int, b: int) -> np.float64:
-        nonlocal fused
-        if not fused:  # the sum is dropped
-            return np.float64(np.nan)
-        lo, hi = a // unit, -(-b // unit)
+    if bound == size:
         if level is None:
-            masses = grow(lo, hi, pieces[: (hi - lo) * unit])
-        else:
-            masses = grow(lo, hi, level[lo * unit : hi * unit])
-        total = _terms_sum(masses[a - lo * unit : b - lo * unit], terms)
-        fused = total == total  # NaN from a zero mass
-        return total
+            pieces = np.empty(min(size, _TERM_BLOCK + 2 * unit))
+        terms = np.empty(min(size, _TERM_BLOCK))
+        fused = True
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        total = _pairwise_sum(0, size, leaf)
-    if fused:
-        return _bits(total), True
-    return _level_bits(size, unit, grow, level, False)
+        def leaf(a: int, b: int) -> np.float64:
+            nonlocal fused
+            if not fused:  # the sum is dropped
+                return np.float64(np.nan)
+            lo, hi = a // unit, -(-b // unit)
+            if level is None:
+                masses = grow(lo, hi, pieces[: (hi - lo) * unit])
+            else:
+                masses = grow(lo, hi, level[lo * unit : hi * unit])
+            total = _terms_sum(masses[a - lo * unit : b - lo * unit], terms)
+            fused = total == total  # NaN from a zero mass
+            return total
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total = _pairwise_sum(0, size, leaf)
+        if fused:
+            return _bits(total), size
+    if level is not None:
+        masses = grow(0, units, level)
+        masses = masses[masses > 0.0]
+        return shannon_bits(masses), masses.size
+    chunk = max(1, _TERM_BLOCK // unit)
+    positive = np.empty(min(size, bound + chunk * unit))
+    count = 0
+    for lo in range(0, units, chunk):
+        hi = min(lo + chunk, units)
+        masses = grow(lo, hi, positive[count : count + (hi - lo) * unit])
+        masses = masses[masses > 0.0]
+        positive[count : count + masses.size] = masses
+        count += masses.size
+    return shannon_bits(positive[:count]), count
 
 
 def _group_masses(
@@ -545,37 +572,37 @@ def _group_masses(
 
 #: Largest alphabet whose word step runs with the axis of the words
 #: innermost, by the number of axes of the step (1 for a Bernoulli row, 2
-#: for a Markov matrix); a larger one runs with the axis of the new
-#: symbol innermost.
-_COLUMN_STEP_MAX = {1: 14, 2: 4}
+#: for rows of a Markov matrix); a larger one runs with the axis of the
+#: new symbol innermost.
+_COLUMN_STEP_MAX = {1: 12, 2: 6}
 
 
 def _grow_words(words: np.ndarray, step: np.ndarray, out: np.ndarray) -> None:
     """Writes the masses of the words one symbol longer to ``out``.
 
     Word w followed by symbol b has mass ``words[w] * step[b]`` under a
-    Bernoulli row and ``words[w] * step[a, b]`` under a Markov matrix,
-    where a is the last symbol of w; under a Markov matrix ``words`` holds
-    whole units of m words. The new words keep the order of ``words``.
+    Bernoulli row and ``words[w] * step[w, b]`` under rows of a Markov
+    matrix, where row w is the row of Q of the last symbol of w. The new
+    words keep the order of ``words``.
 
     One call computes every product, in an order chosen by the shape.
     With the words' axis innermost (``order="F"``) numpy runs one long
-    loop per output column, whose writes are m^k entries apart for a step
-    of k axes; with the symbol's axis innermost its loops are m entries
-    long. Timed on one leaf of 2^15 masses, which stays in cache (2-core
-    Xeon, numpy 2.4, ns per mass, words' axis / symbol's axis): Bernoulli
-    m = 2 0.65 / 5.1, m = 7 1.6 / 2.9, m = 14 1.9-2.2 / 2.2-2.4, m = 16
-    2.2-2.3 / 1.8-2.0; Markov m = 2 1.1 / 8.1, m = 3 1.9 / 5.7, m = 4
-    2.3-2.5 / 3.9-4.9, m = 5 3.5-3.9 / 3.1-4.2, m = 6 3.2-3.7 / 2.6-3.5,
-    m = 7 3.0-3.3 / 2.5-3.3. Both orders compute the same products.
+    loop per output column, whose reads and writes are m entries apart;
+    with the symbol's axis innermost its loops are m entries long. Timed
+    on one leaf of 2^15 masses, which stays in cache (2-core Xeon, numpy
+    2.4, ns per mass, words' axis / symbol's axis, two runs): Bernoulli
+    m = 2 0.64-0.90 / 5.0-7.6, m = 7 1.44-1.55 / 2.0-2.7, m = 12 1.6-1.8
+    / 1.4-1.8, m = 14 1.6-1.7 / 1.4-1.9, m = 16 2.1-2.2 / 1.4-1.8; Markov
+    m = 2 0.67-1.06 / 2.2-3.6, m = 4 1.06-1.15 / 1.7-1.9, m = 6 1.34-1.55
+    / 1.36-1.87, m = 7 1.6-1.8 / 1.2-1.6, m = 8 1.9 / 1.3-1.5, m = 16
+    2.2-2.4 / 1.0-2.0. Whole reports near 2^20 masses agree: Markov m = 6
+    runs faster on the words' axis, m = 8 and 9 on the symbol's, and
+    Bernoulli m = 13 to 16 on the symbol's. Both orders compute the same
+    products.
     """
-    order = "F" if step.shape[-1] <= _COLUMN_STEP_MAX[step.ndim] else "K"
-    np.multiply(
-        words.reshape(-1, *step.shape[:-1], 1),
-        step,
-        out=out.reshape(-1, *step.shape),
-        order=order,
-    )
+    m = step.shape[-1]
+    order = "F" if m <= _COLUMN_STEP_MAX[step.ndim] else "K"
+    np.multiply(words[:, None], step, out=out.reshape(-1, m), order=order)
 
 
 @dataclass(frozen=True)

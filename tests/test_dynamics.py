@@ -742,6 +742,15 @@ def test_lumped_bernoulli_is_the_shift_of_its_group_masses():
         nth_words(system, halves, 11, cap=2**10)
 
 
+def _skip_cycle(m):
+    """Q of m symbols that step 1 or 2 along a cycle: m - 2 zeros a row."""
+    q = np.zeros((m, m))
+    for a in range(m):
+        q[a, (a + 1) % m] = 0.75
+        q[a, (a + 2) % m] = 0.25
+    return q.tolist()
+
+
 #: A four-symbol chain for the lumped-Markov word tests.
 Q_FOUR = [[0.5, 0.2, 0.2, 0.1], [0.1, 0.6, 0.1, 0.2],
           [0.25, 0.25, 0.25, 0.25], [0.3, 0.1, 0.4, 0.2]]
@@ -750,9 +759,11 @@ Q_FOUR = [[0.5, 0.2, 0.2, 0.1], [0.1, 0.6, 0.1, 0.2],
 class TestWordEngine:
     """The word steps against the broadcast formula and the brute force."""
 
-    @pytest.mark.parametrize("m", range(2, 8))
+    @pytest.mark.parametrize("m", range(2, 17))
     @pytest.mark.parametrize("kind", ["bernoulli", "markov"])
     def test_generating_words_equal_the_broadcast_step(self, kind, m):
+        # the last length is past 2^15 masses, so its leaves start at
+        # words whose offsets are not multiples of m
         rng = np.random.default_rng(m)
         if kind == "bernoulli":
             system = SymbolicSystem.bernoulli(rng.dirichlet(np.ones(m)).tolist())
@@ -760,8 +771,9 @@ class TestWordEngine:
         else:
             system = SymbolicSystem.markov(rng.dirichlet(np.ones(m), size=m).tolist())
             step = np.array(system.transition)
-        n_max = int(np.log(2**15) / np.log(m))
-        joins = list(_joins(system, None, n_max, 2**15))
+        n_max = int(np.log(2**20) / np.log(m) + 1e-9)
+        assert 2**15 < m**n_max <= 2**20
+        joins = list(_joins(system, None, n_max, 2**20))
         assert len(joins) == n_max
         assert np.array_equal(joins[0][1], np.array(system.marginal))
         for (_, words), (bits, grown) in zip(joins, joins[1:]):
@@ -894,6 +906,12 @@ class TestSummedLengths:
             ("markov:[[0.5,0.5,0,0,0,0],[0,0.5,0.5,0,0,0],[0,0,0.5,0.5,0,0],"
              "[0,0,0,0.5,0.5,0],[0,0,0,0,0.5,0.5],[0.5,0,0,0,0,0.5]]", None, 6),
             ("markov:[[1e-200,1],[0.5,0.5]]", None, 19),
+            # zero transitions, each stored length grown whole: by 8 and
+            # 11 symbols, and by 3, whose stored 3^11 masses grow from
+            # pieces of Q's rows that start at words 1 and 2 mod 3
+            ("markov:" + str(_skip_cycle(8)), None, 6),
+            ("markov:" + str(_skip_cycle(11)), None, 5),
+            ("markov:" + str(_skip_cycle(3)), None, 12),
             # a transient symbol, lumped: 2^17 group words from 2^16 x 3 rows
             ("markov:[[0.7,0.3,0.0],[0.4,0.6,0.0],[0.2,0.3,0.5]]",
              [[0], [1]], 17),
@@ -910,13 +928,24 @@ class TestSummedLengths:
         partition = None if atoms is None else Partition(system.symbol_space, atoms)
         word_levels(system, partition, n, 2**20)
 
-    def test_a_cap_sized_report_holds_less_than_one_length(self):
+    @pytest.mark.parametrize(
+        "spec,n",
+        [
+            ("bernoulli:0.3,0.7", 20),
+            ("markov:" + str(Q_FOUR), 10),
+            # zero transitions: the positive masses are gathered in a
+            # buffer sized from those of the length before
+            ("markov:[[0,1],[0.5,0.5]]", 20),
+        ],
+    )
+    def test_a_cap_sized_report_holds_less_than_one_length(self, spec, n):
         # the last length, 2^20 masses (8 MiB), is summed as it grows; the
-        # lengths 2^19 and 2^18 are held while the first of them grows
-        system = SymbolicSystem.bernoulli([0.3, 0.7])
+        # length before it and the one before that are held while the first
+        # of them grows, and a Markov step's rows of Q stay one leaf deep
+        system = parse_system_spec(spec)
         tracemalloc.start()
         try:
-            info_rate_report(system, None, 20)
+            info_rate_report(system, None, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
