@@ -400,10 +400,11 @@ def _joins(
     m = p.size
     if system.transition is None or np.array_equal(labels, np.arange(m)):
         _check_cap(m, cap)
-        # a unit of the next length grows from one word
+        # a unit of the next length grows from one word; a grow writes
+        # only to ``out``, so every leaf set shares one
         if system.transition is None:
 
-            def grow(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+            def grow(lo: int, hi: int, out: np.ndarray, keep: bool) -> np.ndarray:
                 _grow_words(words[lo:hi], step, out)
                 return out
 
@@ -414,7 +415,7 @@ def _joins(
             reach = _TERM_BLOCK // m + 2
             rows = np.tile(step, (-(-reach // m) + 1, 1))
 
-            def grow(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+            def grow(lo: int, hi: int, out: np.ndarray, keep: bool) -> np.ndarray:
                 for start in range(lo, hi, reach):
                     stop = min(start + reach, hi)
                     at = start % m
@@ -431,7 +432,9 @@ def _joins(
         for n in range(2, n_max + 1):
             _check_cap(words.size * m, cap)
             level = np.empty(words.size * m) if n < n_max else None
-            bits, positive = _level_bits(words.size * m, m, grow, level, positive * m)
+            bits, positive = _level_bits(
+                words.size * m, m, lambda: grow, level, positive * m
+            )
             words = level
             yield bits, words
         return
@@ -444,15 +447,22 @@ def _joins(
     # with one mass per group
     unit = groups**2
 
-    def grow(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        if kept is None:
-            grown = spare[: (hi - lo) * groups]
-        else:
-            grown = kept[lo * groups : hi * groups]
-        cells = grown.reshape(-1, groups, m)
-        for g, span in enumerate(spans):
-            np.matmul(table[lo:hi, span], step[span], out=cells[:, g])
-        return _group_masses(grown, spans, out)
+    def grower() -> Callable[[int, int, np.ndarray, bool], np.ndarray]:
+        # the rows a leaf set grows and does not keep go to its own table:
+        # one unit's rows while the length is stored, else a leaf's
+        spare = np.empty((groups if kept is not None else rows, m))
+
+        def grow(lo: int, hi: int, out: np.ndarray, keep: bool) -> np.ndarray:
+            if keep and kept is not None:
+                grown = kept[lo * groups : hi * groups]
+            else:
+                grown = spare[: (hi - lo) * groups]
+            cells = grown.reshape(-1, groups, m)
+            for g, span in enumerate(spans):
+                np.matmul(table[lo:hi, span], step[span], out=cells[:, g])
+            return _group_masses(grown, spans, out)
+
+        return grow
 
     _check_cap(groups * m, cap)
     table = p[order].reshape(1, m)
@@ -463,13 +473,10 @@ def _joins(
         # the next length counts groups^2 times this table's entries
         _check_cap(table.size * unit, cap)
         size = table.shape[0] * unit
-        if n < n_max:
-            kept = np.empty((table.shape[0] * groups, m))
-        else:
-            # the rows of one leaf: the last table is never stored
-            kept = None
-            spare = np.empty((min(size, _TERM_BLOCK + 2 * unit) // groups, m))
-        bits, positive = _level_bits(size, unit, grow, None, positive * groups)
+        # the last table is never stored; its rows are grown a leaf at a time
+        kept = np.empty((table.shape[0] * groups, m)) if n < n_max else None
+        rows = min(size, _TERM_BLOCK + 2 * unit) // groups
+        bits, positive = _level_bits(size, unit, grower, None, positive * groups)
         table = kept
         yield bits, table
 
@@ -477,7 +484,7 @@ def _joins(
 def _level_bits(
     size: int,
     unit: int,
-    grow: Callable[[int, int, np.ndarray], np.ndarray],
+    grower: Callable[[], Callable[[int, int, np.ndarray, bool], np.ndarray]],
     level: np.ndarray | None,
     bound: int,
 ) -> tuple[float, int]:
@@ -485,16 +492,25 @@ def _level_bits(
 
     The level has ``size`` masses in units of ``unit``: one word of the
     length before, whose m extensions are its masses, or one row of a
-    lumped Markov table. ``grow(lo, hi, out)`` writes the masses of units
-    lo..hi to ``out`` and returns it: slices of ``level`` when that keeps
-    the level for the next step, else a buffer that holds one leaf. A call
-    grows at most one leaf's units and two more, except on a stored level
-    with a zero mass, which is grown whole. Each leaf of the pairwise sum
-    of ``shannon_bits`` grows the units that cover it, from the unit
-    before its start to the unit after its end where the 8-aligned splits
-    fall mid-unit, and sums its terms while they are in cache. The leaf
-    sums add up in the same tree, so the bits are those of
+    lumped Markov table. ``grower()`` returns a ``grow(lo, hi, out, keep)``
+    with scratch of its own, which writes the masses of units lo..hi to
+    ``out`` and returns it. ``out`` is a slice of ``level`` when that
+    keeps the level for the next step, else a buffer that holds one leaf;
+    ``keep=False`` asks it to write nothing that the next step reads. A
+    call grows at most one leaf's units and two more, except on a stored
+    level with a zero mass, which is grown whole. Each leaf of the
+    pairwise sum of ``shannon_bits`` grows the units that cover it, from
+    the unit before its start to the unit after its end where the
+    8-aligned splits fall mid-unit, and sums its terms while they are in
+    cache. The leaf sums add up in the same tree, so the bits are those of
     ``shannon_bits`` of the whole level.
+
+    ``_pairwise_sum`` may sum the two halves of the first split on two
+    threads, each half with its own leaf buffers and ``grow``. A half
+    stores the units that start in it. Where the split falls mid-unit,
+    the second half grows that unit into its own buffer, with
+    ``keep=False``; on a stored level it grows its first leaf there and
+    copies the rest of it into ``level``.
 
     ``shannon_bits`` drops zero masses before it splits, which moves the
     leaves. ``bound`` is at least the number of positive masses, which is
@@ -502,39 +518,57 @@ def _level_bits(
     positive mass, so the count of the level before times the growth in
     size bounds it, and it is ``size`` unless the level before had a zero.
     Only then is the level summed leaf by leaf, and a zero mass makes its
-    term NaN (0 log2 0). A level with a zero is grown again and its
-    positive masses, in order, handed to ``shannon_bits``. A stored level
-    is grown whole; an unstored one is grown a leaf's worth of units at a
-    time right after the positive masses kept so far, in a buffer of
-    ``bound`` masses and one leaf more, and cut there to its own positive
-    masses, so neither the whole level nor its mask of zeros is held.
+    term NaN (0 log2 0), which drops the leaves not yet summed on both
+    threads. A level with a zero is grown again and its positive masses,
+    in order, handed to ``shannon_bits``. A stored level is grown whole;
+    an unstored one is grown a leaf's worth of units at a time right after
+    the positive masses kept so far, in a buffer of ``bound`` masses and
+    one leaf more, and cut there to its own positive masses, so neither
+    the whole level nor its mask of zeros is held.
     """
     units = size // unit
     if bound == size:
-        if level is None:
-            pieces = np.empty(min(size, _TERM_BLOCK + 2 * unit))
-        terms = np.empty(min(size, _TERM_BLOCK))
-        fused = True
+        # set by the first NaN leaf sum, on either thread
+        dropped = False
 
-        def leaf(a: int, b: int) -> np.float64:
-            nonlocal fused
-            if not fused:  # the sum is dropped
-                return np.float64(np.nan)
-            lo, hi = a // unit, -(-b // unit)
-            if level is None:
-                masses = grow(lo, hi, pieces[: (hi - lo) * unit])
-            else:
-                masses = grow(lo, hi, level[lo * unit : hi * unit])
-            total = _terms_sum(masses[a - lo * unit : b - lo * unit], terms)
-            fused = total == total  # NaN from a zero mass
-            return total
+        def leaves(start: int, stop: int) -> Callable[[int, int], np.float64]:
+            grow = grower()
+            # the unit that holds mass ``start``, when it starts before it
+            shared = start // unit if start % unit else -1
+            if level is None or shared >= 0:
+                pieces = np.empty(min(size, _TERM_BLOCK + 2 * unit))
+            terms = np.empty(min(stop - start, _TERM_BLOCK))
+
+            def leaf(a: int, b: int) -> np.float64:
+                nonlocal dropped
+                if dropped:  # the sum is dropped
+                    return np.float64(np.nan)
+                lo, hi = a // unit, -(-b // unit)
+                if level is None or lo == shared:
+                    masses = pieces[: (hi - lo) * unit]
+                else:
+                    masses = level[lo * unit : hi * unit]
+                if lo == shared:
+                    grow(lo, lo + 1, masses[:unit], False)
+                    grow(lo + 1, hi, masses[unit:], True)
+                    if level is not None:
+                        level[(lo + 1) * unit : hi * unit] = masses[unit:]
+                else:
+                    grow(lo, hi, masses, True)
+                total = _terms_sum(masses[a - lo * unit : b - lo * unit], terms)
+                if total != total:  # NaN from a zero mass
+                    dropped = True
+                return total
+
+            return leaf
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            total = _pairwise_sum(0, size, leaf)
-        if fused:
+            total = _pairwise_sum(size, leaves)
+        if not dropped:
             return _bits(total), size
+    grow = grower()
     if level is not None:
-        masses = grow(0, units, level)
+        masses = grow(0, units, level, True)
         masses = masses[masses > 0.0]
         return shannon_bits(masses), masses.size
     chunk = max(1, _TERM_BLOCK // unit)
@@ -542,7 +576,7 @@ def _level_bits(
     count = 0
     for lo in range(0, units, chunk):
         hi = min(lo + chunk, units)
-        masses = grow(lo, hi, positive[count : count + (hi - lo) * unit])
+        masses = grow(lo, hi, positive[count : count + (hi - lo) * unit], True)
         masses = masses[masses > 0.0]
         positive[count : count + masses.size] = masses
         count += masses.size

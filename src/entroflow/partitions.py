@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
@@ -57,8 +59,12 @@ def shannon_bits(probabilities: Iterable[float] | np.ndarray) -> float:
         p = p[p > 0.0]
         if p.size == 0:
             return 0.0
-    buffer = np.empty(min(p.size, _TERM_BLOCK))
-    return _bits(_pairwise_sum(0, p.size, lambda a, b: _terms_sum(p[a:b], buffer)))
+
+    def leaves(start: int, stop: int) -> Callable[[int, int], np.float64]:
+        terms = np.empty(min(stop - start, _TERM_BLOCK))
+        return lambda a, b: _terms_sum(p[a:b], terms)
+
+    return _bits(_pairwise_sum(p.size, leaves))
 
 
 #: Entries per leaf of the pairwise sum of ``shannon_bits`` terms.
@@ -66,26 +72,76 @@ _TERM_BLOCK = 2**15
 
 
 def _pairwise_sum(
-    start: int, stop: int, leaf: Callable[[int, int], np.float64]
+    size: int, leaves: Callable[[int, int], Callable[[int, int], np.float64]]
 ) -> np.float64:
-    """A sum over the entries start..stop, added in numpy's pairwise order.
+    """A sum over ``size`` entries, added in numpy's pairwise order.
 
     numpy sums a contiguous float64 vector pairwise: it splits a vector
     longer than 128 entries after half its length, rounded down to a
     multiple of 8, and adds the sums of the two pieces. Splitting the same
-    way until a piece has at most ``_TERM_BLOCK`` entries and letting
-    ``leaf(a, b)`` sum the entries a..b of each piece with numpy gives the
-    bytes of one sum over all the entries, without a temporary as long as
-    all of them. The leaves are summed in order.
+    way until a piece has at most ``_TERM_BLOCK`` entries, and summing the
+    entries of each piece with numpy, gives the bytes of one sum over all
+    the entries, without a temporary as long as all of them.
+
+    ``leaves(start, stop)`` returns a ``leaf(a, b)`` with buffers of its
+    own, which sums the entries a..b of each piece within start..stop,
+    called on the pieces in order. The two halves of the first split do
+    not depend on each other. Over more than one leaf, where this process
+    may run on two CPUs or more, the first half is summed on a thread of
+    its own under the caller's ``np.errstate`` while the calling thread
+    sums the second, each half with its own leaf, and the two sums are
+    added as before; what the first half raises is raised here. Otherwise,
+    or when no thread can be started, one leaf sums both halves on the
+    calling thread. Every piece is summed alike either way, so the bytes
+    are the same.
     """
+    if size > _TERM_BLOCK and _usable_cpus() >= 2:
+        half = size // 2
+        half -= half % 8
+        settings = np.geterr()
+        outcome = []
+
+        def first() -> None:
+            try:
+                with np.errstate(**settings):
+                    outcome.append(_tree_sum(0, half, leaves(0, half)))
+            except BaseException as error:  # raised again in the caller
+                outcome.append(error)
+
+        thread = threading.Thread(target=first, name="entroflow-sum", daemon=True)
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to be had: sum both halves here
+            pass
+        else:
+            try:
+                second = _tree_sum(half, size, leaves(half, size))
+            finally:
+                thread.join()
+            if isinstance(outcome[0], BaseException):
+                raise outcome[0]
+            return outcome[0] + second
+    return _tree_sum(0, size, leaves(0, size))
+
+
+def _tree_sum(
+    start: int, stop: int, leaf: Callable[[int, int], np.float64]
+) -> np.float64:
+    """The entries start..stop summed in numpy's pairwise order, by leaf."""
     n = stop - start
     if n <= _TERM_BLOCK:
         return leaf(start, stop)
     half = n // 2
     half -= half % 8
-    return _pairwise_sum(start, start + half, leaf) + _pairwise_sum(
-        start + half, stop, leaf
-    )
+    return _tree_sum(start, start + half, leaf) + _tree_sum(start + half, stop, leaf)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _terms_sum(p: np.ndarray, buffer: np.ndarray) -> np.float64:

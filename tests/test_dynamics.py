@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +27,9 @@ from entroflow import (
     shannon_bits,
     theorem_limit_point_check,
 )
+from entroflow import dynamics, partitions
 from entroflow.dynamics import DEFAULT_WORD_CAP, _joins
+from entroflow.partitions import _TERM_BLOCK, _pairwise_sum
 
 # frozen closed-form rate of Q = [[0.9, 0.1], [0.5, 0.5]] under pi = (5/6, 1/6),
 # independently evaluated as -sum_i pi_i sum_j Q_ij log2 Q_ij
@@ -453,6 +457,22 @@ class TestOrbitJoins:
         assert steps == list(pullback_joins(system, partition, 4))
         assert [s.n_atoms for s in steps] == [2, 4, 5, 5]
         assert steps[2].atom_index_array[2] == steps[2].atom_index_array[5]
+
+    @settings(max_examples=80, deadline=None)
+    @given(permutations_with_idle_cycles(), st.integers(1, 8))
+    def test_joins_past_the_plateau(self, case, extra):
+        # the join flow plateaus within as many steps as there are points;
+        # past it, each join is still the join of the pullbacks
+        system, partition = case
+        n_max = system.space.size + extra
+        steps = list(_joins(system, partition, n_max, DEFAULT_WORD_CAP))
+        reference = list(pullback_joins(system, partition, n_max))
+        assert len(steps) == len(reference) == n_max
+        for ours, theirs in zip(steps, reference):
+            assert ours == theirs
+            assert ours.atom_index_array.tobytes() == theirs.atom_index_array.tobytes()
+            assert ours._masses.tobytes() == theirs._masses.tobytes()
+            assert entropy(ours).hex() == entropy(theirs).hex()
 
     @pytest.mark.parametrize("n_points", [9, 64])
     def test_cap_edge(self, n_points):
@@ -973,6 +993,149 @@ class TestSummedLengths:
             f"word enumeration needs {needed} entries, over the cap of "
             f"{needed - 1}; raise the cap explicitly or lower n_max"
         )
+
+
+TWO_CPUS = pytest.mark.skipif(
+    partitions._usable_cpus() < 2, reason="a second thread needs 2 CPUs"
+)
+
+
+class TestTwoThreadSums:
+    """The halves of a long sum on two threads, with the bytes of one thread."""
+
+    @staticmethod
+    def recorded_leaves(values, seen):
+        """Leaves that sum ``values`` and record each leaf's range and thread."""
+
+        def leaves(start, stop):
+            def leaf(a, b):
+                seen.append((a, b, threading.get_ident()))
+                return values[a:b].sum()
+
+            return leaf
+
+        return leaves
+
+    @TWO_CPUS
+    def test_the_first_half_runs_off_the_calling_thread(self):
+        values = np.random.default_rng(3).uniform(0.0, 1.0, 2 * _TERM_BLOCK + 9)
+        seen = []
+        total = _pairwise_sum(values.size, self.recorded_leaves(values, seen))
+        assert total.hex() == values.sum().hex()
+        half = values.size // 2 - (values.size // 2) % 8
+        main = threading.get_ident()
+        assert [(a, b) for a, b, _ in seen if a < half] == [(0, half)]
+        assert all(thread != main for a, _, thread in seen if a < half)
+        assert all(thread == main for a, _, thread in seen if a >= half)
+
+    @TWO_CPUS
+    def test_a_word_length_over_one_leaf_grows_on_two_threads(self, monkeypatch):
+        threads = []
+        grow_words = dynamics._grow_words
+
+        def spy(words, step, out):
+            threads.append((out.size, threading.get_ident()))
+            grow_words(words, step, out)
+
+        monkeypatch.setattr(dynamics, "_grow_words", spy)
+        list(_joins(parse_system_spec("bernoulli:0.3,0.7"), None, 17, 2**20))
+        main = threading.get_ident()
+        assert {thread for size, thread in threads if size <= 2**14} == {main}
+        assert len({thread for _, thread in threads}) == 2
+
+    def test_a_failing_half_raises_in_the_caller(self):
+        def leaves(start, stop):
+            def leaf(a, b):
+                if a == 0:
+                    raise ValueError("leaf 0")
+                return np.float64(b - a)
+
+            return leaf
+
+        with pytest.raises(ValueError, match="leaf 0"):
+            _pairwise_sum(2 * _TERM_BLOCK, leaves)
+
+    def test_callers_on_many_threads_keep_their_bytes(self):
+        # four callers split their sums at once under a short switch
+        # interval
+        specs = [("bernoulli:0.3,0.7", 17), ("markov:" + str(Q_FOUR), 9),
+                 ("markov:[[0.2,0.5,0.3],[0.3,0.3,0.4],[0.5,0.25,0.25]]", 11),
+                 ("bernoulli:0.1,0.2,0.3,0.4", 9)]
+        systems = [(parse_system_spec(spec), n) for spec, n in specs]
+        expected = [info_rate_report(s, None, n).block_entropies for s, n in systems]
+        got = [[] for _ in systems]
+
+        def run(k):
+            system, n = systems[k]
+            for _ in range(5):
+                got[k].append(info_rate_report(system, None, n).block_entropies)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(k,)) for k in range(len(systems))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(caller.is_alive() for caller in callers)
+        for reports, h in zip(got, expected):
+            assert [[x.hex() for x in r] for r in reports] == [[x.hex() for x in h]] * 5
+
+    @pytest.mark.parametrize("case", ["no thread", "one CPU"])
+    def test_without_a_second_thread_the_bytes_are_the_same(self, monkeypatch, case):
+        spec, n = "markov:" + str(Q_FOUR), 10
+        expected = [h.hex() for h in
+                    info_rate_report(parse_system_spec(spec), None, n).block_entropies]
+        started = []
+
+        def start(thread):
+            started.append(thread)
+            if case == "no thread":
+                raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        if case == "one CPU":
+            monkeypatch.setattr(partitions, "_usable_cpus", lambda: 1)
+        got = info_rate_report(parse_system_spec(spec), None, n).block_entropies
+        assert [h.hex() for h in got] == expected
+        # the lengths of 4^8, 4^9 and 4^10 masses split where two CPUs
+        # would be used
+        assert len(started) == (3 if case == "no thread" else 0)
+
+    @pytest.mark.parametrize(
+        "spec,n",
+        [
+            ("markov:[[0,1],[0.5,0.5]]", 18),
+            ("bernoulli:1e-200,1", 20),
+            # the word of seventeen 0s underflows to a zero mass in the
+            # first half of a length of 2^17 masses
+            ("bernoulli:1e-20,1", 17),
+            ("markov:[[1e-20,1],[0.5,0.5]]", 19),
+        ],
+    )
+    def test_zero_masses_warn_on_neither_thread(self, spec, n):
+        # the suite turns a RuntimeWarning into an error on any thread, and
+        # what the first half raises is raised in the caller
+        word_levels(parse_system_spec(spec), None, n, 2**20)
+
+    def test_a_split_mid_unit_stores_the_shared_unit_once(self, monkeypatch):
+        # 3^12 masses split after 265720, inside the word that grows
+        # masses 265719..265721: the first half stores it, the second grows
+        # it into its own buffer; a lumped table of 3 groups splits its
+        # 3^11 x 9 masses mid-row too
+        cases = [
+            ("markov:[[0.2,0.5,0.3],[0.3,0.3,0.4],[0.5,0.25,0.25]]", None, 13),
+            ("markov:[[0.4,0.1,0.2,0.1,0.2],[0.2,0.3,0.1,0.3,0.1],"
+             "[0.1,0.2,0.4,0.2,0.1],[0.3,0.1,0.1,0.2,0.3],[0.2,0.2,0.2,0.2,0.2]]",
+             [[0, 3], [1], [2, 4]], 12),
+        ]
+        for spec, atoms, n in cases:
+            system = parse_system_spec(spec)
+            partition = None if atoms is None else Partition(system.symbol_space, atoms)
+            word_levels(system, partition, n, 2**22)
 
 
 class TestParseSystemSpec:

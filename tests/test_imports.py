@@ -4,6 +4,9 @@ benchmark's tracer wraps exists."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +129,15 @@ def test_every_traced_name_exists():
 def test_the_check_sees_a_missing_traced_name():
     source = 'LAYERS = {"lattice": ("gibbs_space", "_gone"), "flows": ("reverse",)}\n'
     assert missing_traced_names(source) == ["entroflow.lattice._gone"]
+
+
+def test_the_command_line_imports_no_thread_pool():
+    # the second thread of a long sum is started only when a sum splits
+    probe = (
+        "import sys, threading; import entroflow.cli; "
+        "print('concurrent.futures' in sys.modules, threading.active_count())"
+    )
+    src = str(Path(entroflow.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.split() == ["False", "1"]
