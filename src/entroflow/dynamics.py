@@ -99,12 +99,9 @@ class PermutationSystem:
             raise ValidationError(
                 f"mapping of length {len(self.mapping)} on a space of {n} points"
             )
-        mapping = np.asarray(self.mapping)
-        if mapping.dtype.kind not in "iu" or not np.array_equal(
-            np.sort(mapping), np.arange(n)
-        ):
+        mapping = _as_permutation(np.asarray(self.mapping), n)
+        if mapping is None:
             raise ValidationError("mapping is not a permutation of the point indices")
-        mapping = mapping.astype(np.int64)
         w = self.space.weight_array
         drift = np.abs(w[mapping] - w) > DEFAULT_TOLERANCE
         if drift.any():
@@ -115,6 +112,22 @@ class PermutationSystem:
             )
         mapping.setflags(write=False)
         object.__setattr__(self, "mapping", mapping)
+
+
+def _as_permutation(mapping: np.ndarray, n: int) -> np.ndarray | None:
+    """``mapping`` as a new int64 array if it holds each of 0..n-1 once, else None.
+
+    A flat integer array is checked by its range and one count per point,
+    with no sort.
+    """
+    if mapping.dtype.kind not in "iu" or mapping.ndim != 1:
+        return None
+    if mapping.min() < 0 or mapping.max() >= n:
+        return None
+    mapping = mapping.astype(np.int64)
+    if not (np.bincount(mapping, minlength=n) == 1).all():
+        return None
+    return mapping
 
 
 def cyclic_system(n_points: int) -> PermutationSystem:
@@ -338,7 +351,10 @@ def _joins(
     by their label in the last join and their symbol under T^{-n}P, which
     is the symbol under T^{-(n-1)}P of the image point, and numbers the
     keys once: the partitions of ``join`` with ``pullback_partition``,
-    without building the pulled-back partition.
+    without building the pulled-back partition. On a space whose weights
+    are all equal, such as a cycle's, the keys are numbered through a
+    first-point table with no sort while they span at most twice the
+    number of points (see ``partitions._grouping``).
 
     A symbolic system yields, for each n, the entropy H_n in bits of the
     exact distribution of the length-n words reduced through the symbol

@@ -291,6 +291,12 @@ class FiniteProbabilitySpace:
         positive.setflags(write=False)
         return positive
 
+    @cached_property
+    def _equal_weights(self) -> bool:
+        """True when every weight is the same, and hence positive."""
+        w = self.weight_array
+        return bool(w.min() == w.max())
+
     @property
     def size(self) -> int:
         return self.weight_array.size
@@ -390,6 +396,77 @@ class _Grouping(NamedTuple):
         return masses
 
 
+class _EqualWeightGrouping(NamedTuple):
+    """Points grouped by key on a space whose weights are all equal.
+
+    ``labels`` numbers the groups 0, 1, ... by first point and is
+    read-only. Listed by label, the points would form runs opening at
+    ``starts``; every point weighs the same, so the weights in point order,
+    cut at ``starts``, sum to the same masses, and that list is never built.
+    """
+
+    labels: np.ndarray
+    n_atoms: int
+    starts: np.ndarray
+
+    def masses(self, weights: np.ndarray) -> np.ndarray:
+        """Each atom's equal weights summed, read-only.
+
+        One ``np.add.reduceat`` over runs of the same counts of the same
+        weight as those ``_Grouping.masses`` sums, so the same bytes.
+        """
+        masses = np.add.reduceat(weights, self.starts)
+        masses.setflags(write=False)
+        return masses
+
+
+def _grouping(
+    space: FiniteProbabilitySpace, keys: np.ndarray
+) -> _Grouping | _EqualWeightGrouping:
+    """The points of ``space`` grouped by integer key, numbered by first point.
+
+    On a space of equal weights, keys spanning at most twice the number of
+    points are numbered through a first-point table, with no sort; any
+    other keys are numbered by ``_canonical_grouping``.
+    """
+    if space._equal_weights:
+        grouping = _equal_weight_grouping(keys)
+        if grouping is not None:
+            return grouping
+    return _canonical_grouping(keys, space._positive)
+
+
+def _equal_weight_grouping(keys: np.ndarray) -> _EqualWeightGrouping | None:
+    """Number the distinct keys 0, 1, ... by first occurrence, without a sort.
+
+    None when the keys span more than twice the number of points. One
+    ``np.minimum.at`` into a table as long as the span gives each key its
+    first point, the first points flagged in a point-long mask are listed
+    in point order, and the labels are read through the table. The counts
+    of the labels place the runs.
+    """
+    size = keys.size
+    lo = keys.min()
+    span = int(keys.max()) - int(lo) + 1
+    if span > 2 * size:
+        return None
+    codes = keys - lo
+    first = np.full(span, size, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(size, dtype=np.int64))
+    # keys that no point holds leave ``size``, flagged in the spare last slot
+    opens = np.zeros(size + 1, dtype=bool)
+    opens[first] = True
+    firsts = np.flatnonzero(opens[:size])
+    n_atoms = firsts.size
+    table = np.empty(span, dtype=np.int64)
+    table[codes[firsts]] = np.arange(n_atoms, dtype=np.int64)
+    labels = table[codes]
+    starts = np.zeros(n_atoms, dtype=np.int64)
+    np.cumsum(np.bincount(labels, minlength=n_atoms)[:-1], out=starts[1:])
+    labels.setflags(write=False)
+    return _EqualWeightGrouping(labels.view(), n_atoms, starts)
+
+
 def _canonical_grouping(keys: np.ndarray, positive: np.ndarray | None) -> _Grouping:
     """Number the distinct keys 0, 1, ... by first occurrence.
 
@@ -398,6 +475,9 @@ def _canonical_grouping(keys: np.ndarray, positive: np.ndarray | None) -> _Group
     point order. Its runs, numbered by their first point, are the atoms.
     Keys spanning at most twice the number of points are numbered through
     a table as long as the span, wider ones along the sorted order.
+    Partitions of a space whose weights are all equal skip this sort when
+    their keys span at most twice the number of points: ``_grouping``
+    numbers those through a first-point table instead.
     """
     if positive is not None:
         keys = keys[positive]
@@ -449,11 +529,17 @@ def _stable_order(codes: np.ndarray, span: int) -> np.ndarray:
 
 
 def _point_indices(atom: Iterable[int]) -> list[int]:
-    """One atom's point indices as ints; a bool or a non-integer is refused."""
+    """One atom's point indices as ints; a bool or a non-integer is refused.
+
+    An atom of plain ints, as JSON gives, is kept as it is after one pass
+    over the types of its entries.
+    """
     try:
         entries = list(atom)
     except TypeError:
         raise ValidationError(f"atom {atom!r} is not a list of point indices") from None
+    if set(map(type, entries)) <= {int}:
+        return entries
     try:
         if bool not in map(type, entries):
             return list(map(operator.index, entries))
@@ -477,7 +563,7 @@ class Partition:
     is the atom holding point i, atoms are numbered by their smallest
     point index, and zero-weight points carry -1 (they are dropped, and
     atoms left empty by that are removed). The atom masses come from the
-    same sort as the labels and are stored with them. ``atoms`` is a
+    same grouping as the labels and are stored with them. ``atoms`` is a
     tuple of frozensets of point indices built from the labels on first
     use. Equality and hashing act on the space and the labels.
     """
@@ -531,7 +617,7 @@ class Partition:
                 "positive-weight points not covered by any atom: "
                 f"{uncovered[:8].tolist()}"
             )
-        self._assign(space, _canonical_grouping(owner, space._positive))
+        self._assign(space, _grouping(space, owner))
 
     @classmethod
     def _from_labels(
@@ -539,18 +625,20 @@ class Partition:
     ) -> "Partition":
         """The partition grouping points of equal integer key, unchecked."""
         keys = np.asarray(keys, dtype=np.int64)
-        return cls._from_grouping(space, _canonical_grouping(keys, space._positive))
+        return cls._from_grouping(space, _grouping(space, keys))
 
     @classmethod
     def _from_grouping(
-        cls, space: FiniteProbabilitySpace, grouping: _Grouping
+        cls, space: FiniteProbabilitySpace, grouping: _Grouping | _EqualWeightGrouping
     ) -> "Partition":
         """The partition of a grouping made under ``space._positive``, unchecked."""
         self = object.__new__(cls)
         self._assign(space, grouping)
         return self
 
-    def _assign(self, space: FiniteProbabilitySpace, grouping: _Grouping) -> None:
+    def _assign(
+        self, space: FiniteProbabilitySpace, grouping: _Grouping | _EqualWeightGrouping
+    ) -> None:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "atom_index_array", grouping.labels)
         object.__setattr__(self, "n_atoms", grouping.n_atoms)

@@ -156,7 +156,9 @@ class TestPermutationSystem:
         PermutationSystem(space, (1, 0, 2))
 
     @pytest.mark.parametrize(
-        "mapping", [(1, 2, 0), [1, 2, 0], np.array([1, 2, 0], dtype=np.int32)]
+        "mapping",
+        [(1, 2, 0), [1, 2, 0]]
+        + [np.array([1, 2, 0], dtype=t) for t in (np.int32, np.int8, np.uint64)],
     )
     def test_mapping_is_stored_as_a_read_only_int64_array(self, mapping):
         s = PermutationSystem(make_space("abc", [1 / 3] * 3), mapping)
@@ -181,6 +183,12 @@ class TestPermutationSystem:
              "mapping is not a permutation of the point indices"),
             ([0.25, 0.25, 0.3, 0.2], (1, 0, 3, 2),
              "weight not preserved at point 2: 0.3 -> 0.2"),
+            ([1 / 3] * 3, (-1, 0, 1), "mapping is not a permutation of the point indices"),
+            ([1 / 3] * 3, np.array([2**63, 0, 1], dtype=np.uint64),
+             "mapping is not a permutation of the point indices"),
+            ([1 / 3] * 3, [[0], [1], [2]], "mapping is not a permutation of the point indices"),
+            ([1 / 3] * 3, (True, False, True),
+             "mapping is not a permutation of the point indices"),
         ],
     )
     def test_rejection_messages(self, weights, mapping, message):
@@ -492,6 +500,41 @@ class TestOrbitJoins:
             f"word enumeration needs {counts[first_over]} entries, over the cap "
             f"of {cap - 1}; raise the cap explicitly or lower n_max"
         )
+
+
+class TestSortFreeJoins:
+    """Which permutation join steps sort their points."""
+
+    def record_sorts(self, monkeypatch):
+        sizes = []
+        stable_order = partitions._stable_order
+
+        def recording_sort(codes, span):
+            sizes.append(codes.size)
+            return stable_order(codes, span)
+
+        monkeypatch.setattr(partitions, "_stable_order", recording_sort)
+        return sizes
+
+    def test_equal_weight_steps_make_no_sort(self, monkeypatch):
+        system = cyclic_system(512)
+        partition = Partition(system.space, [range(0, 100), range(100, 300), range(300, 512)])
+        sizes = self.record_sorts(monkeypatch)
+        steps = list(_joins(system, partition, 12, DEFAULT_WORD_CAP))
+        assert sizes == []
+        assert [p.n_atoms for p in steps] == [3 * n for n in range(1, 13)]
+
+    def test_unequal_weight_steps_sort_once_per_step(self, monkeypatch):
+        # even points weigh twice what odd points do; i -> i + 2 keeps parity
+        n = 512
+        space = make_space(range(n), np.tile([2.0, 1.0], n // 2), normalize=True)
+        system = PermutationSystem(space, (np.arange(n) + 2) % n)
+        partition = Partition(space, [range(0, 100), range(100, 300), range(300, n)])
+        sizes = self.record_sorts(monkeypatch)
+        steps = list(_joins(system, partition, 12, DEFAULT_WORD_CAP))
+        assert len(steps) == 12
+        assert sizes.count(n) == 11
+        assert max(p.n_atoms for p in steps) < n
 
 
 class TestInfoRateReport:

@@ -21,7 +21,7 @@ from entroflow import (
     pullback_partition,
     shannon_bits,
 )
-from entroflow.partitions import _TERM_BLOCK, _canonical_grouping
+from entroflow.partitions import _TERM_BLOCK, _canonical_grouping, _equal_weight_grouping
 
 TOL = 1e-12
 
@@ -516,6 +516,16 @@ def test_validation_messages_name_the_offending_point():
     assert Partition(s, [[0, 0, 1], [2]]).n_atoms == 2
 
 
+def test_atoms_of_plain_ints_read_as_other_integers():
+    s = uniform_space(4)
+    plain = Partition(s, [[3, 1], [0, 2, 0]])
+    assert plain.atom_index_array.tolist() == [0, 1, 0, 1]
+    assert plain == Partition(s, [[np.int64(3), 1], (np.int32(0), 2, 0)])
+    assert plain == Partition(s, [np.array([3, 1]), range(0, 4, 2)])
+    with pytest.raises(ValidationError, match="point index -1 outside space of size 4"):
+        Partition(s, [[0, 1], [2, 3, -1]])
+
+
 @pytest.mark.parametrize(
     "atoms, message",
     [
@@ -663,6 +673,58 @@ def test_canonical_labels_of_wide_keys(case):
     assert n_atoms == expected_atoms
     assert masses.tobytes() == expected_masses.tobytes()
     assert not labels.flags.writeable and not masses.flags.writeable
+
+
+@st.composite
+def equal_weight_keys(draw):
+    """(keys, span): integer keys over 1 to 777 points, from an offset that
+    may be negative, spanning up to one more than twice the point count."""
+    size = draw(st.one_of(st.integers(1, 300), st.sampled_from([3, 777])))
+    shape = draw(st.sampled_from(["drawn", "single", "distinct", "2 size", "2 size + 1"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.integers(-(2**40), 2**40))
+    if shape == "single":
+        codes = np.zeros(size, dtype=np.int64)
+    elif shape == "distinct":
+        codes = rng.permutation(size)
+    else:
+        if shape == "drawn":
+            width = draw(st.integers(1, 2 * size + 1))
+        else:
+            size = max(size, 2)
+            width = 2 * size + (shape == "2 size + 1")
+        codes = rng.integers(0, width, size)
+        if size > 1:
+            codes[rng.choice(size, 2, replace=False)] = [0, width - 1]
+    return offset + codes, int(codes.max() - codes.min()) + 1
+
+
+def atoms_of(keys):
+    """The point indices of each key, in order of the key's value."""
+    return [np.flatnonzero(keys == k).tolist() for k in np.unique(keys)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_weight_keys(), st.booleans())
+def test_equal_weight_numbering_matches_the_sort(case, nudged):
+    # every weight equal: a first-point table, no sort, while the keys span at
+    # most twice the points; one weight off by an ulp: the sort route
+    keys, span = case
+    size = keys.size
+    weights = np.full(size, 1.0 / size)
+    if nudged:
+        weights[size // 2] = np.nextafter(weights[size // 2], 1.0)
+    space = make_space(range(size), weights)
+    assert space._equal_weights == (not nudged or size == 1)
+    assert (_equal_weight_grouping(keys) is None) == (span > 2 * size)
+    reference = _canonical_grouping(keys, space._positive)
+    masses = reference.masses(space.weight_array)
+    for p in (Partition._from_labels(space, keys), Partition(space, atoms_of(keys))):
+        assert p.atom_index_array.tobytes() == reference.labels.tobytes()
+        assert p.n_atoms == reference.n_atoms
+        assert p._masses.tobytes() == masses.tobytes()
+        assert entropy(p).hex() == shannon_bits(masses).hex()
+        assert not p.atom_index_array.flags.writeable and not p._masses.flags.writeable
 
 
 @pytest.mark.parametrize("n_atoms", [255, 256, 300, 65535, 65536, 70000])
