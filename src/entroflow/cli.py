@@ -14,7 +14,9 @@ Exit codes: 0 success, 2 validation failure, 3 resource cap exceeded,
 The argparse parser is the one description of the flags. It is built
 once per process, and experiment config files are checked against its
 actions: the flag names, the required flags and which subcommands take
-``--format``.
+``--format``. A line that starts with a subcommand is parsed by that
+subcommand's parser alone, so each argument is scanned once; any other
+line goes through the full parser.
 
 Every subcommand hands its record, and its table where it has one, to
 one writer. stdout gets the record; ``--out`` gets the table, delimited
@@ -22,7 +24,10 @@ or as structured columns, or the record when there is no table.
 ``partition`` writes its report to ``--out`` or, without it, to stdout.
 
 Outputs are deterministic: identical invocations produce byte-identical
-files and stdout. Files are written atomically (temp file, then rename).
+files and stdout. Files are written atomically: the text goes to a sibling
+``<name>.<pid>-<k>.tmp``, created exclusively with the first ``k`` not
+taken, which is then renamed over the target. The file's mode follows
+the umask, as for any newly created file.
 Delimited output uses comma-separated columns with shortest round-trip
 float formatting; structured records are emitted with stable key order
 and re-parse to equal values.
@@ -39,7 +44,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -101,14 +105,21 @@ def emit_record(record: dict) -> str:
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write a file through a temp sibling and an atomic rename.
 
-    A path that cannot be written raises :class:`ValidationError` naming
+    The sibling is ``<name>.<pid>-<k>.tmp``, created exclusively with the
+    first ``k`` not taken, so the file gets the mode the umask allows. A
+    path that cannot be written raises :class:`ValidationError` naming
     it, and no temp file is left behind.
     """
     target = Path(path)
     tmp_name = None
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+        for k in itertools.count():
+            name = f"{target}.{os.getpid()}-{k}.tmp"
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                tmp_name = name
+                break
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp_name, target)
@@ -285,14 +296,35 @@ def _parser() -> _Parser:
 
 
 @functools.cache
-def _flags(subcommand: str) -> dict[str, argparse.Action]:
-    """A subcommand's flags by destination name, read from the parser."""
+def _subparser(subcommand: str) -> _Parser:
+    """A subcommand's own parser, read from the one :func:`_parser` built."""
     (choices,) = (
         action.choices
         for action in _parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    return {a.dest: a for a in choices[subcommand]._actions if a.dest != "help"}
+    return choices[subcommand]
+
+
+@functools.cache
+def _flags(subcommand: str) -> dict[str, argparse.Action]:
+    """A subcommand's flags by destination name, read from the parser."""
+    return {a.dest: a for a in _subparser(subcommand)._actions if a.dest != "help"}
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """The command line as a namespace, each argument scanned once.
+
+    The full parser hands everything after a leading subcommand to that
+    subcommand's parser untouched, so such a line goes to the subcommand's
+    parser alone. Any other line (empty, ``--config``, ``-h``, ``--`` or
+    an unknown word) goes through the full parser.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        namespace = argparse.Namespace(config=None, subcommand=argv[0])
+        return _subparser(argv[0]).parse_args(argv[1:], namespace)
+    return _parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +809,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and map errors onto exit codes."""
     try:
         try:
-            args = _parser().parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit as exc:  # --help and friends
             return int(exc.code or 0)
         if args.config is not None:

@@ -102,14 +102,16 @@ class PermutationSystem:
         mapping = _as_permutation(np.asarray(self.mapping), n)
         if mapping is None:
             raise ValidationError("mapping is not a permutation of the point indices")
-        w = self.space.weight_array
-        drift = np.abs(w[mapping] - w) > DEFAULT_TOLERANCE
-        if drift.any():
-            i = int(drift.argmax())
-            raise ValidationError(
-                f"weight not preserved at point {i}: "
-                f"{float(w[i])!r} -> {float(w[mapping[i]])!r}"
-            )
+        # any permutation preserves equal weights; only unequal ones are compared
+        if not self.space._equal_weights:
+            w = self.space.weight_array
+            drift = np.abs(w[mapping] - w) > DEFAULT_TOLERANCE
+            if drift.any():
+                i = int(drift.argmax())
+                raise ValidationError(
+                    f"weight not preserved at point {i}: "
+                    f"{float(w[i])!r} -> {float(w[mapping[i]])!r}"
+                )
         mapping.setflags(write=False)
         object.__setattr__(self, "mapping", mapping)
 

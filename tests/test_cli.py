@@ -4,16 +4,18 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import ConfigError, cli, dynamics
+from entroflow import ConfigError, ValidationError, cli, dynamics
 from entroflow.cli import (
     atomic_write_text,
     emit_record,
@@ -864,6 +866,25 @@ class TestConfigFiles:
         assert run(["ising-z", "--k0", "0", "--k1", "1", "--n", "3"]) == 0
         capsys.readouterr()
 
+    def test_subcommand_line_skips_the_full_parser(self, tmp_path, capsys, monkeypatch):
+        path = self.write(
+            tmp_path, {"subcommand": "ising-z", "params": {"k0": 0, "k1": 1, "n": 3}}
+        )
+        parser = cli._parser()
+        full_parse = parser.parse_known_args
+
+        def guarded(args=None, namespace=None):
+            if args and args[0] in cli.SUBCOMMANDS:
+                raise AssertionError("a subcommand line reached the full parser")
+            return full_parse(args, namespace)
+
+        monkeypatch.setattr(parser, "parse_known_args", guarded)
+        assert run(["ising-z", "--k0", "0", "--k1", "1", "--n", "3"]) == 0
+        flags_out = capsys.readouterr()
+        # the --config line itself takes the full parser, its flags do not
+        assert run(["--config", path]) == 0
+        assert capsys.readouterr() == flags_out
+
     def test_validate_returns_config(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -983,6 +1004,105 @@ class TestHelpers:
         atomic_write_text(target, "two\n")
         assert target.read_text() == "two\n"
         assert os.listdir(tmp_path) == ["file.txt"]
+
+    def test_concurrent_writers_leave_one_whole_payload(self, tmp_path):
+        target = tmp_path / "file.txt"
+        stale = tmp_path / f"file.txt.{os.getpid()}-0.tmp"
+        stale.write_text("stale\n")
+        payloads = [f"{i}\n" * (1000 + 100 * i) for i in range(4)]
+
+        def writer(text):
+            for _ in range(50):
+                atomic_write_text(target, text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for future in [pool.submit(writer, text) for text in payloads]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert target.read_text() in payloads
+        assert sorted(os.listdir(tmp_path)) == sorted(["file.txt", stale.name])
+        assert stale.read_text() == "stale\n"
+
+
+class TestOutMode:
+    """An --out file gets the mode the umask allows, as a plain open gives."""
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    @pytest.mark.parametrize("replace", [False, True], ids=["new", "replace"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ising-z", "--k0", "0", "--k1", "1", "--n", "3"],
+            ["ks", "--system", "cycle:4", "--nmax", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_mode_follows_umask(self, tmp_path, capsys, argv, replace, umask, mode):
+        target = tmp_path / "out.txt"
+        if replace:
+            target.write_text("old\n")
+            target.chmod(0o600)
+        previous = os.umask(umask)
+        try:
+            assert run([*argv, "--out", str(target)]) == 0
+        finally:
+            os.umask(previous)
+        capsys.readouterr()
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+
+# Lines whose parse must not depend on the route: a line that starts with
+# a subcommand goes to its parser alone, any other to the full parser.
+PARSE_LINES = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["ks", "--help"],
+    ["ks", "--h"],
+    ["foo"],
+    ["KS"],
+    ["--"],
+    ["ks"],
+    ["ks", "--config", "x"],
+    ["ks", "--sys", "cycle:4"],
+    ["ks", "--system=cycle:4", "--nmax=3"],
+    ["ks", "--system", "cycle:4", "extra"],
+    ["ks", "--system", "cycle:4", "--", "x"],
+    ["ks", "--nmax", "3", "--system"],
+    ["ks", "--c", "4", "--system", "cycle:4"],
+    ["ising-z", "--k0", "-1e-05", "--k1", "1", "--n", "3"],
+    ["ising-z", "--k0", "0", "--k1", "1"],
+    ["ising-z", "--k0", "x", "--k1", "1", "--n", "3"],
+    ["ising-rg", "--format", "delimited"],
+    ["--config"],
+    ["--conf", "config.json"],
+    ["entropy-flow", "--k0", "0.1", "--k1", "0.5", "--sites", "4", "--format", "bogus"],
+    ["theorem-check", "--system", "cycle:4", "--epsilon", "-1"],
+    ["partition"],
+    ["partition", "--input", "doc.json", "--pairwise", "--format", "delimited"],
+    ["--", "ks", "--system", "cycle:4"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_LINES, ids=" ".join)
+def test_one_parse_matches_the_full_parser(capsys, argv):
+    def outcome(parse):
+        try:
+            result = ("args", vars(parse(argv)))
+        except ValidationError as exc:
+            result = ("error", str(exc))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result, capsys.readouterr()
+
+    assert outcome(cli._parse_args) == outcome(cli._parser().parse_args)
 
 
 MARKOV = "markov:[[0.9,0.1],[0.5,0.5]]"
