@@ -78,6 +78,9 @@ EXIT_INCONSISTENT = 4
 # Flags a config file sets through its "output" section, not "params".
 _OUTPUT_FLAGS = ("out", "format")
 
+#: Most starts one ``ising-rg --sweep-random`` run draws.
+SWEEP_CAP = 1 << 16
+
 # The values of every --format flag and of a config's output format.
 _FORMATS = ("delimited", "structured")
 
@@ -106,20 +109,19 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write a file through a temp sibling and an atomic rename.
 
     The sibling is ``<name>.<pid>-<k>.tmp``, created exclusively with the
-    first ``k`` not taken, so the file gets the mode the umask allows. A
-    path that cannot be written raises :class:`ValidationError` naming
-    it, and no temp file is left behind.
+    first ``k`` not taken, so the file gets the mode the umask allows.
+    Missing parent directories are created only when that create finds
+    no directory to write in. A path that cannot be written raises
+    :class:`ValidationError` naming it, and no temp file is left behind.
     """
     target = Path(path)
     tmp_name = None
     try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        for k in itertools.count():
-            name = f"{target}.{os.getpid()}-{k}.tmp"
-            with contextlib.suppress(FileExistsError):
-                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-                tmp_name = name
-                break
+        try:
+            tmp_name, fd = _create_sibling(target)
+        except (FileNotFoundError, NotADirectoryError):
+            target.parent.mkdir(parents=True, exist_ok=True)
+            tmp_name, fd = _create_sibling(target)
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp_name, target)
@@ -130,6 +132,14 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         if tmp_name is not None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp_name)
+
+
+def _create_sibling(target: Path) -> tuple[str, int]:
+    """Name and write descriptor of the first ``<target>.<pid>-<k>.tmp`` not taken."""
+    for k in itertools.count():
+        name = f"{target}.{os.getpid()}-{k}.tmp"
+        with contextlib.suppress(FileExistsError):
+            return name, os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
 
 
 class _Table(NamedTuple):
@@ -258,7 +268,8 @@ def _parser() -> _Parser:
         "--sweep-random",
         type=int,
         metavar="N",
-        help="cross-check the closed form against the oracle on N random starts",
+        help="cross-check the closed form against the oracle on N random starts "
+        f"(N <= {SWEEP_CAP})",
     )
     p.add_argument("--seed", type=int, help="seed, mandatory with --sweep-random")
 
@@ -504,19 +515,29 @@ def _cmd_ising_rg(args) -> _Output:
 
 
 def _cmd_ising_rg_sweep(args) -> _Output:
+    count = args.sweep_random
     if args.seed is None:
         raise ValidationError("--seed is mandatory with --sweep-random")
-    if args.sweep_random < 1:
-        raise ValidationError(f"--sweep-random must be positive, got {args.sweep_random}")
+    if count < 1:
+        raise ValidationError(f"--sweep-random must be positive, got {count}")
     if args.seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
+    if count > SWEEP_CAP:
+        raise ResourceCapError(
+            f"--sweep-random {count} exceeds the cap of {SWEEP_CAP} starts"
+        )
+    # one draw of 2N doubles is the same stream as 2N scalar draws
+    draws = (1.0 - np.random.default_rng(args.seed).uniform(size=2 * count)).tolist()
+    starts = [ising.VVector(v0, v1) for v0, v1 in zip(draws[::2], draws[1::2])]
+    closed = [ising.rg_step_closed(v) for v in starts]
+    # starts lie in (0, 1], where neither the closed form nor the coupling
+    # cap refuses, so the oracle's first refusal is the sweep's first failure
+    oracle = ising._rg_step_oracle_stack([v.couplings for v in starts])
     worst = {"v0": 0.0, "v1": 0.0, "c": 0.0}
     rows = []
-    for i in range(args.sweep_random):
-        v = ising.VVector(1.0 - rng.uniform(), 1.0 - rng.uniform())
-        closed_v, closed_c = ising.rg_step_closed(v)
-        oracle_k, oracle_c = ising.rg_step_oracle(v.couplings)
+    for i, (v, (closed_v, closed_c), (oracle_k, oracle_c)) in enumerate(
+        zip(starts, closed, oracle)
+    ):
         oracle_v = oracle_k.v
         dv0 = abs(closed_v.v0 - oracle_v.v0)
         dv1 = abs(closed_v.v1 - oracle_v.v1)
@@ -527,7 +548,7 @@ def _cmd_ising_rg_sweep(args) -> _Output:
         rows.append((i, v.v0, v.v1, dv0, dv1, dc))
     tol = 1e-9
     record = {
-        "sweep": args.sweep_random,
+        "sweep": count,
         "seed": args.seed,
         "max_delta_v0": worst["v0"],
         "max_delta_v1": worst["v1"],

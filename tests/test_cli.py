@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_ising import rg_step_oracle_reference
 
-from entroflow import ConfigError, ValidationError, cli, dynamics
+from entroflow import ConfigError, ValidationError, cli, dynamics, ising
 from entroflow.cli import (
     atomic_write_text,
     emit_record,
@@ -217,6 +218,25 @@ class TestExitCodes:
                     "--seed", "-1"])
         assert code == 2
         assert capsys.readouterr() == ("", "error: --seed must be nonnegative, got -1\n")
+
+    @pytest.mark.parametrize("count", [cli.SWEEP_CAP + 1, 10**9])
+    def test_sweep_past_the_cap(self, tmp_path, capsys, monkeypatch, count):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a refused sweep drew its starts")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        out = tmp_path / "sweep.csv"
+        code = run(["ising-rg", "--sweep-random", str(count), "--seed", "1",
+                    "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", f"error: --sweep-random {count} exceeds the cap of 65536 starts\n"
+        )
+        assert os.listdir(tmp_path) == []
+
+    def test_the_sweep_cap_is_in_the_help(self, capsys):
+        assert run(["ising-rg", "--help"]) == 0
+        assert "(N <= 65536)" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
@@ -998,6 +1018,35 @@ class TestHelpers:
         assert target.read_text() == "payload\n"
         assert os.listdir(target.parent) == ["file.txt"]
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("afile/x.csv", "[Errno 17] File exists: 'afile'"),
+            ("afile/deeper/x.csv", "[Errno 20] Not a directory: 'afile/deeper'"),
+        ],
+    )
+    def test_a_parent_that_is_a_file(self, tmp_path, capsys, monkeypatch, target, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        assert run(["ising-z", "--k0", "0", "--k1", "1", "--n", "3", "--out", target]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {target}: {message}\n")
+        assert os.listdir(tmp_path) == ["afile"]
+
+    def test_a_missing_nested_parent_is_created(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["ising-z", "--k0", "0", "--k1", "1", "--n", "3"]
+        assert run([*argv, "--out", "a/b/c/z.json"]) == 0
+        assert (tmp_path / "a/b/c/z.json").read_text() == capsys.readouterr().out
+        assert os.listdir(tmp_path / "a/b/c") == ["z.json"]
+
+    def test_an_existing_parent_is_not_created_again(self, tmp_path, monkeypatch):
+        def no_mkdir(*args, **kwargs):
+            raise AssertionError("mkdir on an existing directory")
+
+        monkeypatch.setattr(cli.Path, "mkdir", no_mkdir)
+        atomic_write_text(tmp_path / "file.txt", "payload\n")
+        assert (tmp_path / "file.txt").read_text() == "payload\n"
+
     def test_atomic_write_replaces(self, tmp_path):
         target = tmp_path / "file.txt"
         atomic_write_text(target, "one\n")
@@ -1211,6 +1260,58 @@ class TestIsingRgStart:
         assert capsys.readouterr() == (
             "", f"error: the following arguments are required: {missing}\n"
         )
+
+
+class TestSweepAgainstReference:
+    """A sweep's record and rows, rebuilt one start at a time from scalar draws."""
+
+    @staticmethod
+    def expected(count, seed):
+        rng = np.random.default_rng(seed)
+        worst = {"v0": 0.0, "v1": 0.0, "c": 0.0}
+        lines = ["i,v0,v1,delta_v0,delta_v1,delta_c"]
+        for i in range(count):
+            v = ising.VVector(1.0 - rng.uniform(), 1.0 - rng.uniform())
+            closed_v, closed_c = ising.rg_step_closed(v)
+            oracle_k, oracle_c = rg_step_oracle_reference(v.couplings)
+            oracle_v = oracle_k.v
+            dv0 = abs(closed_v.v0 - oracle_v.v0)
+            dv1 = abs(closed_v.v1 - oracle_v.v1)
+            dc = abs(closed_c - oracle_c)
+            worst["v0"] = max(worst["v0"], dv0)
+            worst["v1"] = max(worst["v1"], dv1)
+            worst["c"] = max(worst["c"], dc / max(1.0, abs(oracle_c)))
+            lines.append(",".join([str(i), *map(repr, (v.v0, v.v1, dv0, dv1, dc))]))
+        record = {
+            "sweep": count,
+            "seed": seed,
+            "max_delta_v0": worst["v0"],
+            "max_delta_v1": worst["v1"],
+            "max_rel_delta_c": worst["c"],
+            "tolerance": 1e-9,
+        }
+        return json.dumps(record, sort_keys=True) + "\n", "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("seed", [0, 1, 99, 2**31 - 1])
+    @pytest.mark.parametrize("count", [1, 2, 32, 257])
+    def test_same_bytes_from_one_stacked_call(
+        self, tmp_path, capsys, monkeypatch, count, seed
+    ):
+        stacks = []
+        kernel = ising._rg_step_oracle_stack
+
+        def counted(couplings):
+            stacks.append(len(couplings))
+            return kernel(couplings)
+
+        monkeypatch.setattr(ising, "_rg_step_oracle_stack", counted)
+        out = tmp_path / "sweep.csv"
+        assert run(["ising-rg", "--sweep-random", str(count), "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        stdout, table = self.expected(count, seed)
+        assert capsys.readouterr() == (stdout, "")
+        assert out.read_text() == table
+        assert stacks == [count]
 
 
 class TestEntropyFlowLogZ:

@@ -3,11 +3,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entroflow import (
     CouplingVector,
+    EntroflowError,
     InconsistencyError,
     TransferMatrix,
     ValidationError,
@@ -25,6 +26,7 @@ from entroflow import (
     spin_configurations,
     transfer_matrix,
 )
+from entroflow.ising import _rg_step_oracle_stack
 
 LN2 = math.log(2.0)
 
@@ -38,6 +40,42 @@ def eigenvalues_oracle(k):
     """Eigenvalues of T(K) from a dense symmetric eigensolver, descending order."""
     lo, hi = np.linalg.eigvalsh(transfer_matrix(k).matrix)
     return (float(hi), float(lo))
+
+
+def rg_step_oracle_reference(k):
+    """The single-matrix oracle as it was before the stacked kernel, one 2x2 at a time."""
+    kk = k if isinstance(k, CouplingVector) else CouplingVector(*k)
+    t = transfer_matrix(kk).matrix
+    with np.errstate(over="ignore"):
+        squared = t @ t
+    upper = float(squared[0, 0])
+    lower = float(squared[1, 1])
+    cross = float(squared[0, 1])
+    ratio, product = upper / lower, upper * lower
+    if not all(math.isfinite(x) and x > 0.0 for x in (ratio, product)):
+        raise ValidationError(
+            f"decimation oracle left the double range at K = ({kk.k0!r}, {kk.k1!r})"
+        )
+    k0_new = 0.5 * math.log(ratio)
+    k1_new = 0.25 * math.log(product / cross**2)
+    c = product**0.25 * math.sqrt(cross)
+    coupling_new = CouplingVector(k0_new, k1_new)
+    rebuilt = c * transfer_matrix(coupling_new).matrix
+    residual = float(np.abs(rebuilt - squared).max() / np.abs(squared).max())
+    if residual > 1e-12:
+        raise InconsistencyError(
+            f"decimation oracle reconstruction residual {residual!r} exceeds 1e-12"
+        )
+    return coupling_new, c
+
+
+def oracle_outcome(oracle, k):
+    """(k0', k1', c) as exact hex strings, or the refusal's type and message."""
+    try:
+        k_new, c = oracle(k)
+    except EntroflowError as exc:
+        return type(exc), str(exc)
+    return k_new.k0.hex(), k_new.k1.hex(), c.hex()
 
 
 def random_couplings(rng, n, lo=-2.0, hi=2.0):
@@ -366,6 +404,59 @@ class TestRgStepOracle:
         assert k.k0 == 0.0
         assert k.k1 == pytest.approx(177.4 - LN2 / 2, rel=1e-15)
         assert math.isfinite(c)
+
+
+class TestStackedOracle:
+    """The stacked kernel against the single-matrix oracle it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=300.0),
+        st.floats(min_value=0.0, max_value=300.0),
+        st.sampled_from([1.0, -1.0]),
+        st.sampled_from([1.0, -1.0]),
+    )
+    @example(0.0, 300.0, 1.0, 1.0)
+    @example(300.0, 300.0, 1.0, 1.0)
+    @example(300.0, 300.0, -1.0, 1.0)
+    @example(0.0, 177.4, 1.0, 1.0)
+    def test_same_bytes_or_refusal_as_the_reference(self, a0, a1, s0, s1):
+        k = CouplingVector(s0 * a0, s1 * a1)
+        assert oracle_outcome(rg_step_oracle, k) == oracle_outcome(
+            rg_step_oracle_reference, k
+        )
+
+    def test_each_row_is_its_single_call(self):
+        rng = np.random.default_rng(53)
+        ks = random_couplings(rng, 200, -20.0, 20.0) + random_couplings(rng, 56)
+        stacked = _rg_step_oracle_stack(ks)
+        assert len(stacked) == len(ks)
+        for k, (k_new, c) in zip(ks, stacked):
+            single_k, single_c = rg_step_oracle(k)
+            assert (k_new.k0.hex(), k_new.k1.hex(), c.hex()) == (
+                single_k.k0.hex(), single_k.k1.hex(), single_c.hex()
+            )
+
+    def test_the_first_refused_row_is_raised(self):
+        ks = [CouplingVector(0.1, 0.2), CouplingVector(300.0, 300.0),
+              CouplingVector(0.3, 0.4), CouplingVector(-300.0, 300.0)]
+        with pytest.raises(ValidationError) as excinfo:
+            _rg_step_oracle_stack(ks)
+        assert str(excinfo.value) == (
+            "decimation oracle left the double range at K = (300.0, 300.0)"
+        )
+
+    def test_the_coupling_cap_draws(self):
+        # one (20000, 2) draw over the whole cap: 9,532 steps, and every
+        # refusal a ValidationError, each exactly as the reference gives it
+        draws = np.random.default_rng(7).uniform(-300.0, 300.0, (20000, 2))
+        steps = 0
+        for k in map(CouplingVector, *draws.T.tolist()):
+            outcome = oracle_outcome(rg_step_oracle, k)
+            assert outcome == oracle_outcome(rg_step_oracle_reference, k)
+            steps += len(outcome) == 3
+            assert len(outcome) == 3 or outcome[0] is ValidationError
+        assert steps == 9532
 
 
 def solve_block4(t4):
