@@ -81,6 +81,9 @@ _OUTPUT_FLAGS = ("out", "format")
 #: Most starts one ``ising-rg --sweep-random`` run draws.
 SWEEP_CAP = 1 << 16
 
+# The --help of ks's and theorem-check's --nmax.
+_NMAX_HELP = f"block lengths n = 1..NMAX (2 <= NMAX <= {dynamics.MAX_NMAX})"
+
 # The values of every --format flag and of a config's output format.
 _FORMATS = ("delimited", "structured")
 
@@ -179,14 +182,14 @@ def _write(args, output: _Output) -> None:
             {name: [row[i] for row in table.rows] for i, name in enumerate(names)}
         ) + "\n"
     else:
+        # float.__repr__ is the shortest round-trip text of a float, and
+        # of an np.float64, which is a float
         lines = [",".join(table.header)]
-        for row in table.rows:
-            lines.append(
-                ",".join(
-                    _float_repr(cell) if isinstance(cell, float) else str(cell)
-                    for cell in row
-                )
-            )
+        lines += [
+            ",".join([float.__repr__(cell) if isinstance(cell, float) else str(cell)
+                      for cell in row])
+            for row in table.rows
+        ]
         text = "\n".join([*lines, *table.footer]) + "\n"
     if args.out:
         atomic_write_text(args.out, text)
@@ -251,7 +254,7 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("ks", help="block entropies and rate estimate")
     p.add_argument("--system", required=True, help="bernoulli:..., markov:..., cycle:N")
-    p.add_argument("--nmax", type=int, default=16)
+    p.add_argument("--nmax", type=int, default=16, help=_NMAX_HELP)
     p.add_argument("--partition", help="atoms as a JSON list of index lists")
     p.add_argument("--cap", type=int, default=dynamics.DEFAULT_WORD_CAP)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
@@ -300,7 +303,7 @@ def _parser() -> _Parser:
     p.add_argument("--partition", help="atoms as a JSON list of index lists")
     p.add_argument("--epsilon", type=_tolerance, default=flows.DEFAULT_EPSILON)
     p.add_argument("--window", type=int, help="plateau window, default 8 clipped")
-    p.add_argument("--nmax", type=int, default=24)
+    p.add_argument("--nmax", type=int, default=24, help=_NMAX_HELP)
     p.add_argument("--cap", type=int, default=dynamics.DEFAULT_WORD_CAP)
     p.add_argument("--out", help="also write the record here")
     return parser

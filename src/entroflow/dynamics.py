@@ -40,9 +40,11 @@ from .partitions import (
     DEFAULT_TOLERANCE,
     FiniteProbabilitySpace,
     Partition,
+    _Scratch,
     _TERM_BLOCK,
     _bits,
     _check_probabilities,
+    _equal_weight_grouping,
     _float_array,
     _pairwise_sum,
     _terms_sum,
@@ -54,6 +56,7 @@ from .partitions import (
 __all__ = [
     "DEFAULT_WORD_CAP",
     "MAX_CYCLE_POINTS",
+    "MAX_NMAX",
     "MAX_WORD_CAP",
     "InfoRateReport",
     "PermutationSystem",
@@ -75,6 +78,11 @@ MAX_WORD_CAP = 2**24
 
 #: Ceiling on the points of a cyclic system.
 MAX_CYCLE_POINTS = 2**20
+
+#: Ceiling on n_max, the block lengths of one report. A permutation flow
+#: or a shift lumped into one group meets no word or atom cap, so without
+#: it a run's time and its tuples of results grow with n_max unbounded.
+MAX_NMAX = 2**16
 
 _STATIONARITY_TOL = 1e-10
 
@@ -354,9 +362,14 @@ def _joins(
     is the symbol under T^{-(n-1)}P of the image point, and numbers the
     keys once: the partitions of ``join`` with ``pullback_partition``,
     without building the pulled-back partition. On a space whose weights
-    are all equal, such as a cycle's, the keys are numbered through a
-    first-point table with no sort while they span at most twice the
-    number of points (see ``partitions._grouping``).
+    are all equal, such as a cycle's, the keys lie in [0, n_atoms x
+    alphabet), and while that span is at most twice the number of points
+    they are built in one buffer and numbered through a first-point table
+    with no sort and no pass for their least and greatest (see
+    ``partitions._equal_weight_grouping``), in scratch allocated once per
+    flow. Every join gets labels of its own, so a caller may keep them
+    all. Unequal weights, zero weights and a wider span take
+    ``Partition._from_labels``, with the same bytes.
 
     A symbolic system yields, for each n, the entropy H_n in bits of the
     exact distribution of the length-n words reduced through the symbol
@@ -393,17 +406,30 @@ def _joins(
         # the symbol of each point under T^{-n}P, shifted up by one: the
         # labels pullback_partition gives, with 0 for a point whose orbit
         # has met a zero-weight point by step n
+        space = system.space
         symbols = partition.atom_index_array + 1
         alphabet = partition.n_atoms + 1
-        zero = np.flatnonzero(~(system.space.weight_array > 0.0))
+        zero = np.flatnonzero(~(space.weight_array > 0.0))
         joined = partition
         yield joined
+        if n_max > 1 and space._equal_weights:
+            # the buffers of every equal-weight step; no partition keeps them
+            keys = np.empty(space.size, dtype=np.int64)
+            scratch = _Scratch.of(space.size, 2 * space.size)
         for _ in range(1, n_max):
             symbols = symbols[system.mapping]
             symbols[zero] = 0
-            joined = Partition._from_labels(
-                system.space, joined.atom_index_array * alphabet + symbols
-            )
+            span = joined.n_atoms * alphabet
+            if space._equal_weights and span <= 2 * space.size:
+                np.multiply(joined.atom_index_array, alphabet, out=keys)
+                keys += symbols
+                joined = Partition._from_grouping(
+                    space, _equal_weight_grouping(keys, span, scratch)
+                )
+            else:
+                joined = Partition._from_labels(
+                    space, joined.atom_index_array * alphabet + symbols
+                )
             _check_cap(joined.n_atoms, cap)
             yield joined
         return
@@ -691,7 +717,9 @@ def info_rate_report(
         system: permutation or symbolic system.
         partition: partition of the system's space (permutation) or of its
             symbol space (symbolic; default is the generating partition).
-        n_max: number of block lengths, at least 2.
+        n_max: number of block lengths, at least 2 and at most
+            ``MAX_NMAX``; a larger one raises ``ResourceCapError`` before
+            any join or word is built.
         tol: stabilization tolerance for the convergence flag, positive.
         cap: hard bound on the words of each length, stored or not, or on
             the atoms of each join.
@@ -700,6 +728,10 @@ def info_rate_report(
         raise ValidationError(f"n_max must be at least 2, got {n_max}")
     if not tol > 0.0:  # NaN fails too
         raise ValidationError(f"tol must be positive, got {tol!r}")
+    if n_max > MAX_NMAX:
+        raise ResourceCapError(
+            f"n_max {n_max} exceeds the ceiling of {MAX_NMAX} block lengths"
+        )
     joins = _joins(system, partition, n_max, cap)
     if isinstance(system, PermutationSystem):
         h = tuple(entropy(joined) for joined in joins)

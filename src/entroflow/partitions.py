@@ -50,7 +50,9 @@ def shannon_bits(probabilities: Iterable[float] | np.ndarray) -> float:
 
     Entries equal to zero contribute nothing (the 0 log 0 = 0 limit
     convention). The input is assumed to be a valid distribution and is
-    not checked.
+    not checked. At most ``_TERM_BLOCK`` positive masses are one leaf of
+    ``_pairwise_sum`` and are summed as that leaf directly, with the same
+    bytes.
     """
     p = np.asarray(probabilities, dtype=float).ravel()
     if p.size == 0:
@@ -59,6 +61,8 @@ def shannon_bits(probabilities: Iterable[float] | np.ndarray) -> float:
         p = p[p > 0.0]
         if p.size == 0:
             return 0.0
+    if p.size <= _TERM_BLOCK:
+        return _bits(_terms_sum(p, np.empty(p.size)))
 
     def leaves(start: int, stop: int) -> Callable[[int, int], np.float64]:
         terms = np.empty(min(stop - start, _TERM_BLOCK))
@@ -436,7 +440,31 @@ def _grouping(
     return _canonical_grouping(keys, space._positive)
 
 
-def _equal_weight_grouping(keys: np.ndarray) -> _EqualWeightGrouping | None:
+class _Scratch(NamedTuple):
+    """Buffers that ``_equal_weight_grouping`` numbers keys of ``size`` points in.
+
+    ``table`` holds a first-point table as long as the span and then the
+    label table over it; ``opens`` flags first points, with a spare last
+    slot; ``index`` lists 0..size-1 and is never written. A caller that
+    numbers many keyings of the same points keeps one scratch for all of
+    them; nothing a grouping returns refers to it.
+    """
+
+    table: np.ndarray
+    opens: np.ndarray
+    index: np.ndarray
+
+    @classmethod
+    def of(cls, size: int, span: int) -> "_Scratch":
+        """Scratch for keys of ``size`` points spanning at most ``span``."""
+        index = np.arange(size, dtype=np.int64)
+        index.setflags(write=False)
+        return cls(np.empty(span, dtype=np.int64), np.empty(size + 1, dtype=bool), index)
+
+
+def _equal_weight_grouping(
+    keys: np.ndarray, span: int | None = None, scratch: _Scratch | None = None
+) -> _EqualWeightGrouping | None:
     """Number the distinct keys 0, 1, ... by first occurrence, without a sort.
 
     None when the keys span more than twice the number of points. One
@@ -444,23 +472,37 @@ def _equal_weight_grouping(keys: np.ndarray) -> _EqualWeightGrouping | None:
     first point, the first points flagged in a point-long mask are listed
     in point order, and the labels are read through the table. The counts
     of the labels place the runs.
+
+    A caller that knows the keys lie in [0, ``span``), with ``span`` at
+    most twice the number of points, passes it, and the keys are used as
+    they are, without their least and greatest. The numbering does not
+    depend on where the keys start, so the labels are the same. The
+    tables are read from ``scratch`` when it is given, which must be made
+    for that many points and span; otherwise they are allocated here. The
+    labels are new and read-only either way.
     """
     size = keys.size
-    lo = keys.min()
-    span = int(keys.max()) - int(lo) + 1
-    if span > 2 * size:
-        return None
-    codes = keys - lo
-    first = np.full(span, size, dtype=np.int64)
-    np.minimum.at(first, codes, np.arange(size, dtype=np.int64))
+    if span is None:
+        lo = keys.min()
+        span = int(keys.max()) - int(lo) + 1
+        if span > 2 * size:
+            return None
+        keys = keys - lo
+    if scratch is None:
+        scratch = _Scratch.of(size, span)
+    first = scratch.table[:span]
+    first.fill(size)
+    np.minimum.at(first, keys, scratch.index)
     # keys that no point holds leave ``size``, flagged in the spare last slot
-    opens = np.zeros(size + 1, dtype=bool)
+    opens = scratch.opens
+    opens.fill(False)
     opens[first] = True
     firsts = np.flatnonzero(opens[:size])
     n_atoms = firsts.size
-    table = np.empty(span, dtype=np.int64)
-    table[codes[firsts]] = np.arange(n_atoms, dtype=np.int64)
-    labels = table[codes]
+    # the first points are read; the same slots now number the keys
+    table = first
+    table[keys[firsts]] = scratch.index[:n_atoms]
+    labels = table[keys]
     starts = np.zeros(n_atoms, dtype=np.int64)
     np.cumsum(np.bincount(labels, minlength=n_atoms)[:-1], out=starts[1:])
     labels.setflags(write=False)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -237,6 +238,26 @@ class TestExitCodes:
     def test_the_sweep_cap_is_in_the_help(self, capsys):
         assert run(["ising-rg", "--help"]) == 0
         assert "(N <= 65536)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["ks", "theorem-check"])
+    @pytest.mark.parametrize(
+        "system, atoms",
+        [("cycle:8", "[[0,1,2,3],[4,5,6,7]]"), ("bernoulli:0.5,0.5", "[[0,1]]")],
+    )
+    def test_nmax_past_the_ceiling(self, tmp_path, capsys, command, system, atoms):
+        out = tmp_path / "report.txt"
+        code = run([command, "--system", system, "--partition", atoms,
+                    "--nmax", "1000000000", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "error: n_max 1000000000 exceeds the ceiling of 65536 block lengths\n"
+        )
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["ks", "theorem-check"])
+    def test_the_nmax_ceiling_is_in_the_help(self, capsys, command):
+        assert run([command, "--help"]) == 0
+        assert "(2 <= NMAX <= 65536)" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
@@ -1312,6 +1333,68 @@ class TestSweepAgainstReference:
         assert capsys.readouterr() == (stdout, "")
         assert out.read_text() == table
         assert stacks == [count]
+
+
+def delimited_reference(table):
+    """Delimited ``--out`` text, each cell formatted on its own."""
+    lines = [",".join(table.header)]
+    for row in table.rows:
+        lines.append(",".join(
+            repr(float(cell)) if isinstance(cell, float) else str(cell) for cell in row
+        ))
+    return "\n".join([*lines, *table.footer]) + "\n"
+
+
+class TestDelimitedWriter:
+    """Each delimited table is written as each cell formatted on its own would be."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ks", "--system", "cycle:777", "--nmax", "30"],
+            ["ks", "--system", "bernoulli:0.3,0.7", "--nmax", "12"],
+            ["ks", "--system", MARKOV, "--nmax", "9"],
+            ["ks", "--system", "markov:[[0.2,0.3,0.5],[0.1,0.6,0.3],[0.4,0.4,0.2]]",
+             "--partition", "[[0,2],[1]]", "--nmax", "8"],
+            ["entropy-flow", "--k0", "0.3", "--k1", "-0.8", "--sites", "16",
+             "--levels", "4"],
+            ["ising-rg", "--v0", "0.7", "--v1", "0.9", "--steps", "60"],
+            ["ising-rg", "--v0", "3.5", "--v1", "0.2", "--steps", "7"],
+            ["ising-rg", "--sweep-random", "32", "--seed", "1"],
+            ["partition", "--input", "{doc}", "--format", "delimited"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_tables_keep_their_bytes(self, tmp_path, capsys, monkeypatch, argv):
+        tables = []
+        write = cli._write
+
+        def recording(args, output):
+            tables.append(output.table)
+            write(args, output)
+
+        monkeypatch.setattr(cli, "_write", recording)
+        argv = [a.replace("{doc}", write_doc(tmp_path, SAMPLE_DOC)) for a in argv]
+        out = tmp_path / "table.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        (table,) = tables
+        assert table.rows
+        assert out.read_text() == delimited_reference(table)
+
+    def test_numpy_and_special_cells(self, tmp_path, capsys):
+        cells = (np.float64(0.1), np.int64(-3), -0.0, math.inf, -math.inf, math.nan,
+                 1e16, 5e-324, np.float64(1e-5), True, "name", 7)
+        table = cli._Table(tuple(f"c{i}" for i in range(len(cells))), [cells, cells],
+                           ("# end",))
+        out = tmp_path / "cells.csv"
+        args = argparse.Namespace(out=str(out), format="delimited")
+        cli._write(args, cli._Output({"k": 1}, table))
+        assert capsys.readouterr().out == '{"k": 1}\n'
+        assert out.read_text() == delimited_reference(table)
+        assert out.read_text().splitlines()[1] == (
+            "0.1,-3,-0.0,inf,-inf,nan,1e+16,5e-324,1e-05,True,name,7"
+        )
 
 
 class TestEntropyFlowLogZ:

@@ -537,6 +537,115 @@ class TestSortFreeJoins:
         assert max(p.n_atoms for p in steps) < n
 
 
+@st.composite
+def uniform_permutations(draw):
+    """(system, partition, n_max): equal weights, a permutation of several cycles.
+
+    The points of a random order are cut into cycles. The partition has
+    1 to 40 atoms, drawn point by point or as runs along that order, so
+    that the key span of a join step, its atoms times the alphabet, may
+    cross twice the point count partway through the flow.
+    """
+    n = draw(st.one_of(st.integers(1, 300), st.sampled_from([777, 4096])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), min(n - 1, draw(st.integers(0, 6))),
+                              replace=False))
+    mapping = np.empty(n, dtype=np.int64)
+    for cycle in np.split(order, cuts):
+        mapping[cycle] = np.roll(cycle, -1)
+    system = PermutationSystem(make_space(range(n), np.full(n, 1.0 / n)), mapping)
+    n_atoms = draw(st.integers(1, min(n, 40)))
+    if draw(st.booleans()):
+        labels = rng.integers(0, n_atoms, n)
+    else:
+        runs = np.sort(rng.choice(np.arange(1, n + 1), min(n, n_atoms), replace=False))
+        labels = np.empty(n, dtype=np.int64)
+        labels[order] = np.searchsorted(runs, np.arange(n), side="right") % n_atoms
+    partition = Partition._from_labels(system.space, labels)
+    return system, partition, draw(st.integers(1, 40))
+
+
+def assert_same_flow(steps, reference):
+    """The joins of two routes agree in labels, masses and entropy bytes."""
+    assert len(steps) == len(reference)
+    for ours, theirs in zip(steps, reference):
+        assert ours.atom_index_array.tobytes() == theirs.atom_index_array.tobytes()
+        assert ours.n_atoms == theirs.n_atoms
+        assert ours._masses.tobytes() == theirs._masses.tobytes()
+        assert entropy(ours).hex() == entropy(theirs).hex()
+
+
+class TestEqualWeightJoins:
+    """Equal-weight join steps number known-span keys in scratch kept per flow."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(uniform_permutations())
+    def test_each_step_is_the_join_of_the_pullback(self, case):
+        system, partition, n_max = case
+        steps = list(_joins(system, partition, n_max, DEFAULT_WORD_CAP))
+        assert_same_flow(steps, list(pullback_joins(system, partition, n_max)))
+
+    def routes(self, monkeypatch):
+        """Records each step's route: the key span it numbers, or None."""
+        taken = []
+        grouping = dynamics._equal_weight_grouping
+        from_labels = Partition._from_labels.__func__
+
+        def known_span(keys, span, scratch):
+            taken.append(span)
+            return grouping(keys, span, scratch)
+
+        def sorted_or_tabled(cls, space, keys):
+            taken.append(None)
+            return from_labels(cls, space, keys)
+
+        monkeypatch.setattr(dynamics, "_equal_weight_grouping", known_span)
+        monkeypatch.setattr(Partition, "_from_labels", classmethod(sorted_or_tabled))
+        return taken
+
+    def test_a_flow_switches_route_where_the_span_passes_twice_the_points(
+        self, monkeypatch
+    ):
+        # 64 points in 8 arcs of 4 atoms: 4, 8, 12, ... atoms times an
+        # alphabet of 5 pass 128 at the seventh step
+        system = cyclic_system(64)
+        partition = Partition._from_labels(system.space, np.arange(64) // 8 % 4)
+        reference = list(pullback_joins(system, partition, 12))
+        taken = self.routes(monkeypatch)
+        steps = list(_joins(system, partition, 12, DEFAULT_WORD_CAP))
+        assert taken == [20, 40, 60, 80, 100, 120, None, None, None, None, None]
+        assert_same_flow(steps, reference)
+
+    def test_a_collected_flow_keeps_every_step(self):
+        # every step is checked only after the whole flow has run, so a
+        # step whose labels lived in the flow's scratch would show the last
+        system = cyclic_system(4096)
+        labels = np.repeat(np.arange(6) % 3, [700, 650, 720, 690, 666, 670])
+        partition = Partition._from_labels(system.space, np.roll(labels, 123))
+        steps = list(_joins(system, partition, 24, DEFAULT_WORD_CAP))
+        assert_same_flow(steps, list(pullback_joins(system, partition, 24)))
+        assert [p.n_atoms for p in steps] == [3 * n for n in range(1, 25)]
+        for a, b in zip(steps, steps[1:]):
+            assert not np.shares_memory(a.atom_index_array, b.atom_index_array)
+
+    def test_interleaved_flows_of_one_system(self):
+        system = cyclic_system(777)
+        first = Partition._from_labels(system.space, np.arange(777) // 40 % 3)
+        second = Partition._from_labels(system.space, np.arange(777) * 7 // 777)
+        pairs = list(zip(_joins(system, first, 30, DEFAULT_WORD_CAP),
+                         _joins(system, second, 30, DEFAULT_WORD_CAP)))
+        assert_same_flow([a for a, _ in pairs], list(pullback_joins(system, first, 30)))
+        assert_same_flow([b for _, b in pairs], list(pullback_joins(system, second, 30)))
+        for a, b in pairs[1:]:
+            for labels in (a.atom_index_array, b.atom_index_array):
+                assert not labels.flags.writeable
+                with pytest.raises(ValueError):
+                    labels[0] = 1
+                with pytest.raises(ValueError):
+                    labels.setflags(write=True)
+
+
 class TestInfoRateReport:
     def test_identity_rate_is_exactly_zero(self):
         space = make_space(list(range(6)), [1 / 6] * 6)
@@ -604,6 +713,33 @@ class TestInfoRateReport:
     def test_n_max_floor(self):
         with pytest.raises(ValidationError):
             info_rate_report(SymbolicSystem.bernoulli([0.5, 0.5]), n_max=1)
+
+    @pytest.mark.parametrize("n_max", [dynamics.MAX_NMAX + 1, 10**9])
+    @pytest.mark.parametrize("kind", ["cycle", "one group"])
+    def test_n_max_ceiling(self, monkeypatch, kind, n_max):
+        if kind == "cycle":
+            system = cyclic_system(4)
+            partition = halves(system)
+        else:
+            system = SymbolicSystem.bernoulli([0.5, 0.5])
+            partition = Partition(system.symbol_space, [[0, 1]])
+
+        def no_joins(*args):
+            raise AssertionError("a refused report built a join")
+
+        monkeypatch.setattr(dynamics, "_joins", no_joins)
+        with pytest.raises(ResourceCapError) as excinfo:
+            info_rate_report(system, partition, n_max)
+        assert str(excinfo.value) == (
+            f"n_max {n_max} exceeds the ceiling of 65536 block lengths"
+        )
+
+    def test_n_max_at_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_NMAX", 5)
+        system = cyclic_system(4)
+        assert info_rate_report(system, halves(system), 5).n_max == 5
+        with pytest.raises(ResourceCapError, match="ceiling of 5 block lengths"):
+            info_rate_report(system, halves(system), 6)
 
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("-inf")])
     def test_tol_must_be_positive(self, tol):
@@ -1077,14 +1213,16 @@ class TestTwoThreadSums:
         grow_words = dynamics._grow_words
 
         def spy(words, step, out):
-            threads.append((out.size, threading.get_ident()))
+            threads.append((out.size, threading.current_thread()))
             grow_words(words, step, out)
 
         monkeypatch.setattr(dynamics, "_grow_words", spy)
         list(_joins(parse_system_spec("bernoulli:0.3,0.7"), None, 17, 2**20))
-        main = threading.get_ident()
+        main = threading.current_thread()
         assert {thread for size, thread in threads if size <= 2**14} == {main}
-        assert len({thread for _, thread in threads}) == 2
+        # each long length starts a sum thread of its own, which the OS may
+        # give a new ident, so the threads are told apart by name
+        assert {thread.name for _, thread in threads} == {main.name, "entroflow-sum"}
 
     def test_a_failing_half_raises_in_the_caller(self):
         def leaves(start, stop):

@@ -21,7 +21,12 @@ from entroflow import (
     pullback_partition,
     shannon_bits,
 )
-from entroflow.partitions import _TERM_BLOCK, _canonical_grouping, _equal_weight_grouping
+from entroflow.partitions import (
+    _TERM_BLOCK,
+    _canonical_grouping,
+    _equal_weight_grouping,
+    _Scratch,
+)
 
 TOL = 1e-12
 
@@ -725,6 +730,37 @@ def test_equal_weight_numbering_matches_the_sort(case, nudged):
         assert p._masses.tobytes() == masses.tobytes()
         assert entropy(p).hex() == shannon_bits(masses).hex()
         assert not p.atom_index_array.flags.writeable and not p._masses.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(equal_weight_keys())
+def test_a_known_span_and_kept_scratch_number_the_same(case):
+    # keys shifted to start at 0, with their span given and one scratch
+    # for twice the points, kept over two numberings: the labels and runs
+    # of the keys numbered alone, each time in new read-only labels
+    keys, span = case
+    size = keys.size
+    if span > 2 * size:
+        return
+    expected = _equal_weight_grouping(keys)
+    codes = keys - keys.min()
+    scratch = _Scratch.of(size, 2 * size)
+    scratch.table.fill(-7)
+    scratch.opens.fill(True)
+    first = _equal_weight_grouping(codes, span, scratch)
+    second = _equal_weight_grouping(codes[::-1].copy(), span, scratch)
+    again = _equal_weight_grouping(codes, span, scratch)
+    for got in (first, again):
+        assert got.labels.tobytes() == expected.labels.tobytes()
+        assert got.n_atoms == expected.n_atoms
+        assert got.starts.tobytes() == expected.starts.tobytes()
+    assert second.labels.tobytes() == _equal_weight_grouping(keys[::-1]).labels.tobytes()
+    for got in (first, second, again):
+        assert not got.labels.flags.writeable
+        for buffer in scratch:
+            assert not np.shares_memory(got.labels, buffer)
+    assert not np.shares_memory(first.labels, again.labels)
+    assert scratch.index.tobytes() == np.arange(size, dtype=np.int64).tobytes()
 
 
 @pytest.mark.parametrize("n_atoms", [255, 256, 300, 65535, 65536, 70000])
