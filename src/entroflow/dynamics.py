@@ -46,8 +46,8 @@ from .partitions import (
     _check_probabilities,
     _equal_weight_grouping,
     _float_array,
+    _leaf_sum,
     _pairwise_sum,
-    _terms_sum,
     entropy,
     make_space,
     shannon_bits,
@@ -454,31 +454,23 @@ def _joins(
 
         else:
             # word w grows by row w % m of Q, its last symbol's row, read
-            # from Q's rows stacked deep enough for the words of one leaf
-            # from any offset; a longer call reads them a leaf at a time
+            # from Q's rows stacked deep enough for the words of one call,
+            # a leaf's and two more, from any offset
             reach = _TERM_BLOCK // m + 2
             rows = np.tile(step, (-(-reach // m) + 1, 1))
 
             def grow(lo: int, hi: int, out: np.ndarray, keep: bool) -> np.ndarray:
-                for start in range(lo, hi, reach):
-                    stop = min(start + reach, hi)
-                    at = start % m
-                    _grow_words(
-                        words[start:stop],
-                        rows[at : at + stop - start],
-                        out[(start - lo) * m : (stop - lo) * m],
-                    )
+                at = lo % m
+                _grow_words(words[lo:hi], rows[at : at + hi - lo], out)
                 return out
 
         words = p
-        positive = np.count_nonzero(words)
+        zeros = not words.all()
         yield shannon_bits(words), (words if n_max > 1 else None)
         for n in range(2, n_max + 1):
             _check_cap(words.size * m, cap)
             level = np.empty(words.size * m) if n < n_max else None
-            bits, positive = _level_bits(
-                words.size * m, m, lambda: grow, level, positive * m
-            )
+            bits, zeros = _level_bits(words.size * m, m, lambda: grow, level, zeros)
             words = level
             yield bits, words
         return
@@ -511,7 +503,7 @@ def _joins(
     _check_cap(groups * m, cap)
     table = p[order].reshape(1, m)
     masses = _group_masses(table, spans)
-    positive = np.count_nonzero(masses)
+    zeros = not masses.all()
     yield shannon_bits(masses), (table if n_max > 1 else None)
     for n in range(2, n_max + 1):
         # the next length counts groups^2 times this table's entries
@@ -520,7 +512,7 @@ def _joins(
         # the last table is never stored; its rows are grown a leaf at a time
         kept = np.empty((table.shape[0] * groups, m)) if n < n_max else None
         rows = min(size, _TERM_BLOCK + 2 * unit) // groups
-        bits, positive = _level_bits(size, unit, grower, None, positive * groups)
+        bits, zeros = _level_bits(size, unit, grower, None, zeros)
         table = kept
         yield bits, table
 
@@ -530,8 +522,8 @@ def _level_bits(
     unit: int,
     grower: Callable[[], Callable[[int, int, np.ndarray, bool], np.ndarray]],
     level: np.ndarray | None,
-    bound: int,
-) -> tuple[float, int]:
+    zeros: bool,
+) -> tuple[float, bool]:
     """``shannon_bits`` of a word level, summed as the level grows.
 
     The level has ``size`` masses in units of ``unit``: one word of the
@@ -541,8 +533,7 @@ def _level_bits(
     ``out`` and returns it. ``out`` is a slice of ``level`` when that
     keeps the level for the next step, else a buffer that holds one leaf;
     ``keep=False`` asks it to write nothing that the next step reads. A
-    call grows at most one leaf's units and two more, except on a stored
-    level with a zero mass, which is grown whole. Each leaf of the
+    call grows at most one leaf's units and two more. Each leaf of the
     pairwise sum of ``shannon_bits`` grows the units that cover it, from
     the unit before its start to the unit after its end where the
     8-aligned splits fall mid-unit, and sums its terms while they are in
@@ -556,75 +547,51 @@ def _level_bits(
     ``keep=False``; on a stored level it grows its first leaf there and
     copies the rest of it into ``level``.
 
-    ``shannon_bits`` drops zero masses before it splits, which moves the
-    leaves. ``bound`` is at least the number of positive masses, which is
-    returned with the bits: a word of positive mass extends one of
-    positive mass, so the count of the level before times the growth in
-    size bounds it, and it is ``size`` unless the level before had a zero.
-    Only then is the level summed leaf by leaf, and a zero mass makes its
-    term NaN (0 log2 0), which drops the leaves not yet summed on both
-    threads. A level with a zero is grown again and its positive masses,
-    in order, handed to ``shannon_bits``. A stored level is grown whole;
-    an unstored one is grown a leaf's worth of units at a time right after
-    the positive masses kept so far, in a buffer of ``bound`` masses and
-    one leaf more, and cut there to its own positive masses, so neither
-    the whole level nor its mask of zeros is held.
+    Zero masses are cut into leaves like the others, and each leaf sums
+    the terms of its own positive masses, as a leaf of ``shannon_bits``
+    does (``partitions._leaf_sum``). ``zeros`` says whether the level
+    before held a zero mass. A word of zero mass extends only to words of
+    zero mass, so this level then holds one too, and each leaf picks out
+    its positive masses before their logarithms; otherwise a leaf learns
+    of a zero from its NaN sum. Returns the bits and whether the level
+    holds a zero mass.
     """
-    units = size // unit
-    if bound == size:
-        # set by the first NaN leaf sum, on either thread
-        dropped = False
+    held = False
 
-        def leaves(start: int, stop: int) -> Callable[[int, int], np.float64]:
-            grow = grower()
-            # the unit that holds mass ``start``, when it starts before it
-            shared = start // unit if start % unit else -1
-            if level is None or shared >= 0:
-                pieces = np.empty(min(size, _TERM_BLOCK + 2 * unit))
-            terms = np.empty(min(stop - start, _TERM_BLOCK))
+    def leaves(start: int, stop: int) -> Callable[[int, int], np.float64]:
+        grow = grower()
+        # the unit that holds mass ``start``, when it starts before it
+        shared = start // unit if start % unit else -1
+        if level is None or shared >= 0:
+            pieces = np.empty(min(size, _TERM_BLOCK + 2 * unit))
+        terms = np.empty(min(stop - start, _TERM_BLOCK))
 
-            def leaf(a: int, b: int) -> np.float64:
-                nonlocal dropped
-                if dropped:  # the sum is dropped
-                    return np.float64(np.nan)
-                lo, hi = a // unit, -(-b // unit)
-                if level is None or lo == shared:
-                    masses = pieces[: (hi - lo) * unit]
-                else:
-                    masses = level[lo * unit : hi * unit]
-                if lo == shared:
-                    grow(lo, lo + 1, masses[:unit], False)
-                    grow(lo + 1, hi, masses[unit:], True)
-                    if level is not None:
-                        level[(lo + 1) * unit : hi * unit] = masses[unit:]
-                else:
-                    grow(lo, hi, masses, True)
-                total = _terms_sum(masses[a - lo * unit : b - lo * unit], terms)
-                if total != total:  # NaN from a zero mass
-                    dropped = True
-                return total
+        def leaf(a: int, b: int) -> np.float64:
+            nonlocal held
+            lo, hi = a // unit, -(-b // unit)
+            if level is None or lo == shared:
+                masses = pieces[: (hi - lo) * unit]
+            else:
+                masses = level[lo * unit : hi * unit]
+            if lo == shared:
+                grow(lo, lo + 1, masses[:unit], False)
+                grow(lo + 1, hi, masses[unit:], True)
+                if level is not None:
+                    level[(lo + 1) * unit : hi * unit] = masses[unit:]
+            else:
+                grow(lo, hi, masses, True)
+            total, filtered = _leaf_sum(
+                masses[a - lo * unit : b - lo * unit], terms, zeros
+            )
+            if filtered:  # only ever set, so either thread may
+                held = True
+            return total
 
-            return leaf
+        return leaf
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total = _pairwise_sum(size, leaves)
-        if not dropped:
-            return _bits(total), size
-    grow = grower()
-    if level is not None:
-        masses = grow(0, units, level, True)
-        masses = masses[masses > 0.0]
-        return shannon_bits(masses), masses.size
-    chunk = max(1, _TERM_BLOCK // unit)
-    positive = np.empty(min(size, bound + chunk * unit))
-    count = 0
-    for lo in range(0, units, chunk):
-        hi = min(lo + chunk, units)
-        masses = grow(lo, hi, positive[count : count + (hi - lo) * unit], True)
-        masses = masses[masses > 0.0]
-        positive[count : count + masses.size] = masses
-        count += masses.size
-    return shannon_bits(positive[:count]), count
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = _pairwise_sum(size, leaves)
+    return _bits(total), held
 
 
 def _group_masses(

@@ -50,25 +50,23 @@ def shannon_bits(probabilities: Iterable[float] | np.ndarray) -> float:
 
     Entries equal to zero contribute nothing (the 0 log 0 = 0 limit
     convention). The input is assumed to be a valid distribution and is
-    not checked. At most ``_TERM_BLOCK`` positive masses are one leaf of
-    ``_pairwise_sum`` and are summed as that leaf directly, with the same
-    bytes.
+    not checked. The terms are summed in ``_pairwise_sum``'s order over
+    all the entries, zeros included, and each leaf sums the terms of its
+    own positive masses (``_leaf_sum``). So a vector of at most
+    ``_TERM_BLOCK`` entries, or one with no zero, has the bytes of one
+    numpy sum over the terms of its positive masses; the first is summed
+    as that one leaf directly.
     """
     p = np.asarray(probabilities, dtype=float).ravel()
-    if p.size == 0:
-        return 0.0
-    if not p.min() > 0.0:
-        p = p[p > 0.0]
-        if p.size == 0:
-            return 0.0
-    if p.size <= _TERM_BLOCK:
-        return _bits(_terms_sum(p, np.empty(p.size)))
 
     def leaves(start: int, stop: int) -> Callable[[int, int], np.float64]:
         terms = np.empty(min(stop - start, _TERM_BLOCK))
-        return lambda a, b: _terms_sum(p[a:b], terms)
+        return lambda a, b: _leaf_sum(p[a:b], terms, False)[0]
 
-    return _bits(_pairwise_sum(p.size, leaves))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if p.size <= _TERM_BLOCK:
+            return _bits(_leaf_sum(p, np.empty(p.size), False)[0])
+        return _bits(_pairwise_sum(p.size, leaves))
 
 
 #: Entries per leaf of the pairwise sum of ``shannon_bits`` terms.
@@ -154,6 +152,26 @@ def _terms_sum(p: np.ndarray, buffer: np.ndarray) -> np.float64:
     np.log2(p, out=terms)
     np.multiply(p, terms, out=terms)
     return terms.sum()
+
+
+def _leaf_sum(
+    p: np.ndarray, buffer: np.ndarray, zeros: bool
+) -> tuple[np.float64, bool]:
+    """The sum of p log2 p over the positive entries of p, in ``buffer``.
+
+    Returns the sum and whether it was taken over the positive entries
+    picked out, which p holding a zero requires. Unless ``zeros`` says p
+    may hold one, the terms of all of p are summed first; a zero makes
+    that sum NaN (0 log2 0), and only then is the sum taken again. With
+    ``zeros``, the positive entries are picked out first, since the
+    logarithm of a zero costs several times that of a positive entry.
+    The caller ignores the floating-point warnings of a zero.
+    """
+    if not zeros:
+        total = _terms_sum(p, buffer)
+        if total == total:
+            return total, False
+    return _terms_sum(p[p > 0.0], buffer), True
 
 
 def _bits(total: np.float64) -> float:

@@ -1105,9 +1105,9 @@ class TestSummedLengths:
             ("markov:[[0.5,0.5,0,0,0,0],[0,0.5,0.5,0,0,0],[0,0,0.5,0.5,0,0],"
              "[0,0,0,0.5,0.5,0],[0,0,0,0,0.5,0.5],[0.5,0,0,0,0,0.5]]", None, 6),
             ("markov:[[1e-200,1],[0.5,0.5]]", None, 19),
-            # zero transitions, each stored length grown whole: by 8 and
-            # 11 symbols, and by 3, whose stored 3^11 masses grow from
-            # pieces of Q's rows that start at words 1 and 2 mod 3
+            # zero transitions: by 8 and 11 symbols, and by 3, whose
+            # stored 3^11 masses grow in leaves that start at words 1 and
+            # 2 mod 3
             ("markov:" + str(_skip_cycle(8)), None, 6),
             ("markov:" + str(_skip_cycle(11)), None, 5),
             ("markov:" + str(_skip_cycle(3)), None, 12),
@@ -1132,8 +1132,8 @@ class TestSummedLengths:
         [
             ("bernoulli:0.3,0.7", 20),
             ("markov:" + str(Q_FOUR), 10),
-            # zero transitions: the positive masses are gathered in a
-            # buffer sized from those of the length before
+            # zero transitions: the zero masses are summed leaf by leaf
+            # like the others
             ("markov:[[0,1],[0.5,0.5]]", 20),
         ],
     )
@@ -1149,6 +1149,39 @@ class TestSummedLengths:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "spec,n,first,rate",
+        [
+            # the golden-mean chain: a 0 is always followed by a 1, and
+            # its stationary vector is (1/3, 2/3)
+            ("markov:[[0,1],[0.5,0.5]]", 20,
+             -(math.log2(1 / 3) / 3 + 2 * math.log2(2 / 3) / 3), 2 / 3),
+            # one symbol of zero probability, 4^10 = 2^20 words
+            ("bernoulli:0.25,0.25,0,0.5", 10, 1.5, 1.5),
+        ],
+    )
+    def test_zero_word_masses_past_one_leaf_keep_the_closed_form(
+        self, spec, n, first, rate
+    ):
+        # H_n = H_1 + (n - 1) h, over lengths of up to 32 leaves that each
+        # hold zero masses
+        report = info_rate_report(parse_system_spec(spec), None, n)
+        for k, bits in enumerate(report.block_entropies, 1):
+            assert bits == pytest.approx(first + (k - 1) * rate, rel=1e-14, abs=0)
+
+    def test_a_length_with_zero_masses_is_never_held_whole(self):
+        # a run of 0s underflows to zero mass from length 18 on; still
+        # only the length before the last, 2^18 masses (2 MiB), is held,
+        # with one leaf of buffers per thread
+        system = parse_system_spec("markov:[[1e-20,1],[0.5,0.5]]")
+        tracemalloc.start()
+        try:
+            info_rate_report(system, None, 19)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     @pytest.mark.parametrize(
         "spec,atoms,n,needed",
@@ -1223,6 +1256,30 @@ class TestTwoThreadSums:
         # each long length starts a sum thread of its own, which the OS may
         # give a new ident, so the threads are told apart by name
         assert {thread.name for _, thread in threads} == {main.name, "entroflow-sum"}
+
+    @pytest.mark.parametrize("zero", [None, 5, _TERM_BLOCK + 3, 3 * _TERM_BLOCK])
+    def test_a_zero_in_either_half_is_reported_for_the_next_length(self, zero):
+        # four leaves of units of one mass, a zero in the first or second
+        # half or none, summed under a short switch interval
+        masses = np.full(4 * _TERM_BLOCK, 1.0 / (4 * _TERM_BLOCK))
+        if zero is not None:
+            masses[zero] = 0.0
+
+        def grower():
+            def grow(lo, hi, out, keep):
+                out[:] = masses[lo:hi]
+                return out
+
+            return grow
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            bits, held = dynamics._level_bits(masses.size, 1, grower, None, False)
+        finally:
+            sys.setswitchinterval(switch)
+        assert held == (zero is not None)
+        assert bits.hex() == shannon_bits(masses).hex()
 
     def test_a_failing_half_raises_in_the_caller(self):
         def leaves(start, stop):

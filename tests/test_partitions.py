@@ -180,9 +180,11 @@ class TestEntropy:
     def test_shannon_bits_matches_the_filtered_sum(self, size, zeros):
         # the terms are summed block by block in numpy's pairwise order,
         # and negating the sum is negating every term, so the bytes agree
-        # with one numpy sum over the positive entries; ``size`` of them
-        # are positive, and the zeros fall between them, or only past the
-        # first block when they are late
+        # with one numpy sum over the positive entries when there is one
+        # block or no zero; ``size`` entries are positive, and the zeros
+        # fall between them, or only past the first block when they are
+        # late. Over more blocks, the blocks are cut over all the entries,
+        # zeros included, and each sums its own positive entries.
         rng = np.random.default_rng(size)
         kept = rng.uniform(0.0, 1.0, size)
         kept /= kept.sum()
@@ -191,7 +193,20 @@ class TestEntropy:
             first = min(size, _TERM_BLOCK) if zeros == "late" else 0
             spots = rng.integers(first, size + 1, max(1, size // 3))
             p = np.insert(kept, spots, 0.0)
+
+        def blockwise(entries):
+            # numpy's split: after half the entries, rounded down to a
+            # multiple of 8
+            if entries.size <= _TERM_BLOCK:
+                positive = entries[entries > 0.0]
+                return (positive * np.log2(positive)).sum()
+            half = entries.size // 2 - entries.size // 2 % 8
+            return blockwise(entries[:half]) + blockwise(entries[half:])
+
         expected = float(-(kept * np.log2(kept)).sum()) + 0.0
+        assert (float(-blockwise(kept)) + 0.0).hex() == expected.hex()
+        if p.size > _TERM_BLOCK:
+            expected = float(-blockwise(p)) + 0.0
         got = shannon_bits(p)
         assert got.hex() == expected.hex()
         assert shannon_bits(p.tolist()).hex() == expected.hex()
